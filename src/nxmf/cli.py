@@ -2,9 +2,8 @@
 
 Every run writes its artifacts plus a manifest listing the inputs, the
 package version and a sha256 digest per output file; the same config and
-seed always reproduce byte-identical files, whatever --threads says (the
-thread count only caps batch sizes in embarrassingly parallel loops and is
-recorded for provenance).
+seed always reproduce byte-identical files.  --threads has no effect on the
+computation: it is only recorded in the manifest, for provenance.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric guard violation.
 """
@@ -304,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="path to the JSON experiment config")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--out", default=None, help="override the output directory")
-        sp.add_argument("--threads", type=int, default=None, help="worker cap (results unchanged)")
+        sp.add_argument("--threads", type=int, default=None, help="recorded in the manifest for provenance only; no effect")
     return p
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from .kernels import Kernel
 from .pde import FiberedDensity, Grid1D, velocity
 from .trees import LabeledTree, enumerate_trees
-from .weights import SparseWeights, kernel_apply
+from .weights import SparseWeights, check_scaling, kernel_apply
 
 TAU_ORDER_CAP = 4
 DENSITY_ORDER_CAP = 8
@@ -364,8 +364,6 @@ def lambda_admissible(lam: float, w: SparseWeights, f: FiberedDensity, k: Kernel
     """Reports whether sqrt(lam) clears the single-pair admissibility
     threshold used by the hierarchy stability estimate (informational; the
     norm itself is computed for any lam > 0)."""
-    from .weights import check_scaling
-
     wnorm = check_scaling(w).max_row_abs_sum
     if wnorm == 0:
         return True, math.inf

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .kernels import Kernel
-from .weights import SparseWeights
+from .weights import SparseWeights, check_scaling
 
 
 class StabilityError(RuntimeError):
@@ -133,8 +133,6 @@ def _rhs(w, k, x: ParticleState, omega, summation):
 
 
 def _check_guard(w, k, dt):
-    from .weights import check_scaling
-
     scale = check_scaling(w).max_row_abs_sum * k.lipschitz
     if scale > 0 and dt * scale > 0.5:
         raise StabilityError(

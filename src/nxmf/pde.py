@@ -64,7 +64,7 @@ class FiberedDensity:
     """
 
     grid: Grid1D
-    values: np.ndarray                  # (n_fibers, G), >= 0
+    values: np.ndarray                  # (n_fibers, G), finite, >= 0
     time: float = 0.0
     initial_mass: np.ndarray | None = None
     leakage: np.ndarray | None = None
@@ -75,8 +75,8 @@ class FiberedDensity:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 2 or v.shape[1] != self.grid.n_cells:
             raise ValueError("values must have shape (n_fibers, n_cells)")
-        if np.any(v < 0):
-            raise ValueError("densities must be nonnegative")
+        if not (v.min(initial=0.0) >= 0 and v.max(initial=0.0) < math.inf):
+            raise ValueError("densities must be finite and nonnegative")
         object.__setattr__(self, "values", v)
         if self.initial_mass is None:
             object.__setattr__(self, "initial_mass", self.masses())
@@ -184,7 +184,9 @@ def velocity_bound(f: FiberedDensity, w: SparseWeights, k: Kernel) -> float:
 
 
 def cfl_limits(vmax: float, dx: float, nu: float) -> float:
-    """Largest admissible dt for the explicit scheme."""
+    """Largest admissible dt for the explicit scheme; 0 when vmax is not finite."""
+    if not math.isfinite(vmax):
+        return 0.0
     dt = math.inf
     if vmax > 0:
         dt = min(dt, 0.4 * dx / vmax)
@@ -299,6 +301,8 @@ def solve(f0: FiberedDensity, w: SparseWeights, k: Kernel, nu: float,
         vf = velocity(state, w, k, method=velocity_method)
         vmax = float(np.abs(_face_velocities(vf.values, f0.grid.topology)).max())
         limit = cfl_limits(vmax, f0.grid.dx, nu)
+        if limit == 0.0:
+            raise CFLError(f"non-finite velocity at t={state.time:g}; no admissible dt")
         step_dt = dt if dt is not None else (safety * limit if math.isfinite(limit) else t_end - state.time)
         step_dt = min(step_dt, t_end - state.time)
         prev = state

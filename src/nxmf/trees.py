@@ -79,8 +79,3 @@ def enumerate_trees(n: int):
     for tail in itertools.product(*(range(1, v) for v in range(2, n + 1))):
         out.append(LabeledTree((0,) + tail))
     return out
-
-
-def enumerate_up_to(n_max: int):
-    """Trees of every order 1..n_max, grouped by order."""
-    return {n: enumerate_trees(n) for n in range(1, n_max + 1)}

@@ -74,6 +74,7 @@ class SparseWeights:
         np.cumsum(self._indptr, out=self._indptr)
         self._csr = None
         self._csc = None
+        self._scaling = None
 
     @classmethod
     def from_entries(cls, n_agents: int, entries) -> "SparseWeights":
@@ -207,33 +208,32 @@ class EmpiricalGraphon:
         return self._dense
 
 
+def _max_fsum(vals: np.ndarray, indptr: np.ndarray) -> float:
+    """Largest exactly rounded sum over the slices vals[indptr[i]:indptr[i+1]]."""
+    vals, bounds = vals.tolist(), indptr.tolist()
+    return max((math.fsum(vals[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])), default=0.0)
+
+
 def check_scaling(w: SparseWeights) -> ScalingReport:
     """Row/column absolute sums, max weight and density, computed exactly.
 
     Sums use math.fsum so the report is identical across platforms and
-    entry orderings.
+    entry orderings.  The matrix is immutable, so the report is computed on
+    the first call and cached on it.
     """
+    if w._scaling is not None:
+        return w._scaling
     n = w.n_agents
-    if w.nnz == 0:
-        return ScalingReport(0.0, 0.0, 0.0, 0.0)
     absvals = np.abs(w.values)
-    max_row = 0.0
-    for i in range(n):
-        lo, hi = w._indptr[i], w._indptr[i + 1]
-        if hi > lo:
-            s = math.fsum(absvals[lo:hi])
-            if s > max_row:
-                max_row = s
-    col_sums = [[] for _ in range(n)]
-    for c, v in zip(w.cols0, absvals):
-        col_sums[c].append(v)
-    max_col = max((math.fsum(s) for s in col_sums if s), default=0.0)
-    return ScalingReport(
-        max_row_abs_sum=max_row,
-        max_col_abs_sum=max_col,
-        max_entry_abs=float(absvals.max()),
+    by_col = np.argsort(w.cols0, kind="stable")
+    col_ptr = np.searchsorted(w.cols0[by_col], np.arange(n + 1))
+    w._scaling = ScalingReport(
+        max_row_abs_sum=_max_fsum(absvals, w._indptr),
+        max_col_abs_sum=_max_fsum(absvals[by_col], col_ptr),
+        max_entry_abs=float(absvals.max(initial=0.0)),
         density=w.nnz / float(n * n),
     )
+    return w._scaling
 
 
 def gen_uniform(n: int, w_bar: float, include_diagonal: bool = False) -> SparseWeights:

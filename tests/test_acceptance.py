@@ -211,6 +211,7 @@ def test_criterion_08_rearrangement_modulus():
               f"smallest margin {worst_margin:.3f}", t0)
 
 
+@pytest.mark.slow
 def test_criterion_09_independence_gap():
     # Design notes: classes drive themselves (identity permutation) and all
     # agents of a class share one tight initial law.  The odd kernel then

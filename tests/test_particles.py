@@ -162,6 +162,24 @@ class TestDeterministicStep:
         with pytest.raises(StabilityError, match="admissible"):
             step_deterministic(w, linear_attraction(), x, 1.0)
 
+    @pytest.mark.parametrize("stepper", ["deterministic", "stochastic", "mckean"])
+    def test_guard_fires_after_admissible_step(self, stepper):
+        # the scaling report is cached on w after the first step; the guard
+        # must still reject an inadmissible dt on every later step
+        w = gen_uniform(4, 1.0)
+        k = linear_attraction()
+        laws = gaussian_fibers(Grid1D(-4.0, 4.0, 64), [0.0] * 4, [0.5] * 4)
+        g = seeding.stream(5, seeding.NOISE, 0)
+        step = {
+            "deterministic": lambda x, dt: step_deterministic(w, k, x, dt),
+            "stochastic": lambda x, dt: step_stochastic(w, k, x, dt, 0.1, g),
+            "mckean": lambda x, dt: step_mckean(w, k, x, laws, dt),
+        }[stepper]
+        x = step(ParticleState(np.linspace(-1.0, 1.0, 4)[:, None]), 0.1)
+        x = step(x, 0.5 / 0.75)
+        with pytest.raises(StabilityError, match="admissible"):
+            step(x, 0.5 / 0.75 * (1 + 1e-9))
+
     def test_torus_wrap(self):
         w = gen_uniform(2, 0.1)
         k = kuramoto()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from nxmf import (
     FiberedDensity,
     Grid1D,
     SparseWeights,
+    VelocityFieldGrid,
     gaussian_fibers,
     gen_uniform,
     kuramoto,
@@ -125,6 +127,16 @@ class TestStepTransport:
         with pytest.raises(CFLError, match="admissible dt"):
             step_transport(f, w, linear_attraction(), dt=10.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_velocity_is_cfl_error(self, bad):
+        g = Grid1D(-5, 5, 64)
+        f = gaussian_fibers(g, [1.0, -1.0], [0.5, 0.5])
+        w = gen_uniform(2, 1.0, include_diagonal=True)
+        v = velocity(f, w, linear_attraction()).values.copy()
+        v[1, 7] = bad
+        with pytest.raises(CFLError):
+            step_transport(f, w, linear_attraction(), dt=1e-6, vfield=VelocityFieldGrid(v))
+
     def test_positivity_and_clamp_ledger(self, rng):
         g = Grid1D(-6, 6, 80)
         f = random_fibers(rng, g, 5)
@@ -162,6 +174,14 @@ class TestSolve:
         f = random_fibers(rng, g, 3)
         res = solve(f, empty_weights(3), linear_attraction(), nu=0.0, t_end=0.0, output_times=[0.0])
         assert res.snapshots == [f]
+
+    def test_non_finite_velocity_is_cfl_error(self):
+        g = Grid1D(-3, 3, 32)
+        f = gaussian_fibers(g, [0.0, 0.5], [0.5, 0.5])
+        k = dataclasses.replace(linear_attraction(), eval=lambda x: np.full_like(x, math.nan),
+                                zero_at_origin=False)
+        with pytest.raises(CFLError, match="non-finite"):
+            solve(f, gen_uniform(2, 1.0), k, nu=0.0, t_end=0.1, output_times=[0.1])
 
     def test_exchangeable_matches_single_fiber_run(self):
         g = Grid1D(-6, 6, 128)
@@ -265,6 +285,14 @@ class TestFiberedDensity:
         g = Grid1D(-1, 1, 16)
         with pytest.raises(ValueError):
             FiberedDensity(grid=g, values=-np.ones((2, 16)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        g = Grid1D(-1, 1, 16)
+        vals = np.ones((2, 16))
+        vals[1, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            FiberedDensity(grid=g, values=vals)
 
     def test_shape_rejected(self):
         g = Grid1D(-1, 1, 16)

@@ -5,6 +5,7 @@ import pytest
 
 from nxmf import (
     EmpiricalGraphon,
+    ScalingReport,
     SparseWeights,
     check_scaling,
     gen_class_permutation,
@@ -21,7 +22,46 @@ def cyclic_perm(n_classes):
     return [k % n_classes + 1 for k in range(1, n_classes + 1)]
 
 
+def naive_scaling(w):
+    """Per-row and per-column fsum of |w_ij|, grouped straight from the entries."""
+    by_row, by_col = {}, {}
+    for i, j, v in w.entries():
+        by_row.setdefault(i, []).append(abs(v))
+        by_col.setdefault(j, []).append(abs(v))
+    return ScalingReport(
+        max_row_abs_sum=max((math.fsum(s) for s in by_row.values()), default=0.0),
+        max_col_abs_sum=max((math.fsum(s) for s in by_col.values()), default=0.0),
+        max_entry_abs=max((abs(v) for _, _, v in w.entries()), default=0.0),
+        density=w.nnz / w.n_agents ** 2,
+    )
+
+
 class TestCheckScaling:
+    def test_matches_naive_reference(self, rng):
+        # negative weights, empty rows and columns, wide magnitudes, nnz == 0
+        for density in (0.0, 0.02, 0.1, 0.5, 1.0):
+            for _ in range(10):
+                n = int(rng.integers(1, 50))
+                w = random_sparse_weights(rng, n, density=density)
+                assert check_scaling(w) == naive_scaling(w)
+                scaled = SparseWeights(n, w.rows0, w.cols0,
+                                       w.values * 10.0 ** rng.uniform(-12, 12, size=w.nnz))
+                assert check_scaling(scaled) == naive_scaling(scaled)
+        w = SparseWeights(6, [0, 0, 4], [2, 5, 2], [-0.5, 0.25, -0.125])
+        assert naive_scaling(w) == ScalingReport(0.75, 0.625, 0.5, 3 / 36)
+        assert check_scaling(w) == naive_scaling(w)
+
+    def test_second_call_returns_cached_report(self, rng):
+        w = random_sparse_weights(rng, 20)
+        assert check_scaling(w) is check_scaling(w)
+
+    def test_permuted_matrix_gets_own_report(self, rng):
+        w = random_sparse_weights(rng, 20)
+        rep = check_scaling(w)
+        other = check_scaling(w.permuted(rng.permutation(20)))
+        assert other is not rep
+        assert other == rep
+
     def test_class_permutation_large(self):
         w = gen_class_permutation(1024, 64, cyclic_perm(16))
         rep = check_scaling(w)
