@@ -27,10 +27,9 @@ from .particles import (
     StabilityError,
     drift,
     empirical,
+    integrate,
     mckean_drift,
-    step_deterministic,
     step_mckean,
-    step_stochastic,
 )
 from .pde import (
     CFLError,

@@ -30,7 +30,7 @@ from .observables import (
     lambda_admissible,
     tau,
 )
-from .particles import ParticleState, StabilityError, step_deterministic, step_stochastic
+from .particles import StabilityError, integrate
 from .pde import CFLError, solve
 from .rearrange import CellFunctions, build_phi, fit_modulus_constant, modulus, n_pieces, save_permutation
 from .trees import enumerate_trees
@@ -119,36 +119,9 @@ def cmd_simulate(cfg: ExperimentConfig, em: Emitter, seed: int):
     t_end = float(cfg.time["t_end"])
     snaps = sorted(float(s) for s in cfg.time.get("snapshots", [t_end]))
     dt = float(cfg.time.get("dt", 0.01))
-    rng = seeding.stream(seed, seeding.INIT, 0)
-    state = ParticleState(laws.sample(rng), 0.0)
-
-    rows = []
-
-    def record(st):
-        for i in range(st.n_agents):
-            rows.append((st.time, i + 1) + tuple(st.positions[i]))
-
-    pending = [s for s in snaps]
-    if pending and pending[0] <= 0:
-        record(state)
-        pending.pop(0)
-    step_idx = 0
-    while state.time < t_end - 1e-12:
-        step_dt = min(dt, t_end - state.time)
-        if cfg.sigma > 0:
-            nrng = seeding.stream(seed, seeding.NOISE, 0, step_idx)
-            state = step_stochastic(w, k, state, step_dt, cfg.sigma, nrng)
-        else:
-            state = step_deterministic(w, k, state, step_dt)
-        step_idx += 1
-        while pending and state.time >= pending[0] - 1e-12:
-            record(state)
-            pending.pop(0)
-    for _ in pending:
-        record(state)
-
-    d = state.dim
-    header = ["t", "agent"] + [f"coord{j}" for j in range(d)]
+    traj = integrate(w, k, laws.sample_replicas(seed, 1), snaps, dt, cfg.sigma, seed)[:, 0]
+    rows = [(t, i + 1) + tuple(p) for t, snap in zip(snaps, traj) for i, p in enumerate(snap)]
+    header = ["t", "agent"] + [f"coord{j}" for j in range(traj.shape[-1])]
     em.write_csv("trajectory.csv", header, rows)
     rep = check_scaling(w)
     em.write_json("scaling_report.json", {

@@ -67,7 +67,8 @@ def kuramoto(coupling: float = 1.0, period: float = 2.0 * math.pi) -> Kernel:
 
     With drift sum_j w_ij K(theta_i - theta_j) this pulls each phase toward
     its neighbours (the synchronizing sign).  Per-oscillator natural
-    frequencies enter as the steppers' additive omega term, zero by default.
+    frequencies enter through self_drift (e.g. a function returning the
+    frequencies broadcast to the state's shape); there are none by default.
     """
     c = float(coupling)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import seeding
 from .kernels import Kernel
-from .particles import ParticleState, drift_batch
+from .particles import integrate
 from .pde import FiberedDensity, Grid1D, SolveResult, gaussian_fibers, marginal, solve
 from .weights import SparseWeights, check_scaling
 
@@ -179,45 +179,20 @@ class AgentLawSpec:
         else:
             p = self.weights / self.weights.sum(axis=1, keepdims=True)
             cump = np.cumsum(p, axis=1)
-            u = rng.random(n)
+            # separate child streams: agent i's draw depends on i only, not on n
+            urng, zrng = rng.spawn(2)
+            u = urng.random(n)
             comp = (u[:, None] > cump).sum(axis=1)
-            z = rng.standard_normal(n)
+            z = zrng.standard_normal(n)
             idx = np.arange(n)
             x = self.means[idx, comp] + self.stds[idx, comp] * z
         return x[:, None]
 
-
-def _simulate_replicas(w, k, laws: AgentLawSpec, t_end, dt, sigma, master_seed,
-                       n_replicas, batch: int = 64):
-    """Terminal positions of all replicas, shape (R, N); rk4 when sigma=0,
-    Euler-Maruyama otherwise.  Batching cannot change any value."""
-    n = laws.n_agents
-    out = np.empty((n_replicas, n))
-    n_steps = max(1, round(t_end / dt)) if t_end > 0 else 0
-    dt_eff = t_end / n_steps if n_steps else 0.0
-    for start in range(0, n_replicas, batch):
-        stop = min(start + batch, n_replicas)
-        pos = np.empty((stop - start, n, 1))
-        for r in range(start, stop):
-            rng = seeding.stream(master_seed, seeding.INIT, r)
-            pos[r - start] = laws.sample(rng)
-        for s in range(n_steps):
-            if sigma > 0:
-                d1 = drift_batch(w, k, pos)
-                pos = pos + dt_eff * d1
-                for r in range(start, stop):
-                    noise = seeding.normal_block(master_seed, (seeding.NOISE, r, s), (n, 1))
-                    pos[r - start] += sigma * math.sqrt(dt_eff) * noise
-            else:
-                k1 = drift_batch(w, k, pos)
-                k2 = drift_batch(w, k, pos + 0.5 * dt_eff * k1)
-                k3 = drift_batch(w, k, pos + 0.5 * dt_eff * k2)
-                k4 = drift_batch(w, k, pos + dt_eff * k3)
-                pos = pos + (dt_eff / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if k.domain.kind == "torus":
-                pos = np.mod(pos, k.domain.period)
-        out[start:stop] = pos[..., 0]
-    return out
+    def sample_replicas(self, master_seed: int, n_replicas: int) -> np.ndarray:
+        """Initial positions of replicas 0..R-1, shape (R, N, 1); replica r
+        draws from its own (INIT, r) stream."""
+        return np.stack([self.sample(seeding.stream(master_seed, seeding.INIT, r))
+                         for r in range(n_replicas)])
 
 
 def _w1_samples_vs_grid(samples: np.ndarray, weights: np.ndarray | None,
@@ -243,10 +218,11 @@ def independence_gap(w: SparseWeights, k: Kernel, laws: AgentLawSpec, grid: Grid
     if k.dim != 1:
         raise ValueError("gap diagnostics are 1-D")
     scaling = check_scaling(w)
+    samples = integrate(w, k, laws.sample_replicas(master_seed, n_replicas), [t_end], dt,
+                        sigma, master_seed)[0, :, :, 0]
     nu = 0.5 * sigma * sigma
     res = solve(laws.fibers(grid), w, k, nu=nu, t_end=t_end, output_times=[t_end])
     fibers = res.snapshots[0]
-    samples = _simulate_replicas(w, k, laws, t_end, dt, sigma, master_seed, n_replicas)
 
     n = laws.n_agents
     gaps = np.empty(n)
@@ -288,41 +264,18 @@ def meanfield_gap(w: SparseWeights, k: Kernel, laws: AgentLawSpec, grid: Grid1D,
     if not times:
         raise ValueError("need at least one output time")
     scaling = check_scaling(w)
+    traj = integrate(w, k, laws.sample_replicas(master_seed, n_seeds), times, dt, sigma,
+                     master_seed)
     nu = 0.5 * sigma * sigma
     res: SolveResult = solve(laws.fibers(grid), w, k, nu=nu,
                              t_end=times[-1], output_times=times)
     marginals = [marginal(s) for s in res.snapshots]
 
-    n = laws.n_agents
-    per_time = np.zeros((len(times), n_seeds))
-    for seed_i in range(n_seeds):
-        rng = seeding.stream(master_seed, seeding.INIT, seed_i)
-        pos = laws.sample(rng)
-        state = ParticleState(pos, 0.0)
-        prev_t = 0.0
-        samples = pos[:, 0]
-        for ti, t in enumerate(times):
-            span = t - prev_t
-            if span > 1e-14:
-                n_steps = max(1, round(span / dt))
-                dt_eff = span / n_steps
-                batch = state.positions[None, ...]
-                for s in range(n_steps):
-                    k1 = drift_batch(w, k, batch)
-                    k2 = drift_batch(w, k, batch + 0.5 * dt_eff * k1)
-                    k3 = drift_batch(w, k, batch + 0.5 * dt_eff * k2)
-                    k4 = drift_batch(w, k, batch + dt_eff * k3)
-                    batch = batch + (dt_eff / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-                    if sigma > 0:
-                        noise = seeding.normal_block(
-                            master_seed, (seeding.NOISE, seed_i, ti * 100000 + s), (n, 1))
-                        batch = batch + sigma * math.sqrt(dt_eff) * noise[None, ...]
-                    if k.domain.kind == "torus":
-                        batch = np.mod(batch, k.domain.period)
-                state = ParticleState(batch[0], t)
-                samples = state.positions[:, 0]
-                prev_t = t
-            per_time[ti, seed_i] = _w1_samples_vs_grid(samples, None, grid, marginals[ti])
+    per_time = np.empty((len(times), n_seeds))
+    for ti in range(len(times)):
+        for seed_i in range(n_seeds):
+            per_time[ti, seed_i] = _w1_samples_vs_grid(traj[ti, seed_i, :, 0], None, grid,
+                                                       marginals[ti])
     reports = []
     root_entry = math.sqrt(scaling.max_entry_abs)
     for ti, t in enumerate(times):

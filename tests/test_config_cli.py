@@ -146,6 +146,19 @@ class TestConfig:
         assert laws.means[1, 1] == 2.0
 
 
+README_CONFIG = {
+    "graph": {"kind": "class_permutation", "n": 64, "m": 8, "perm": "cycle"},
+    "kernel": {"preset": "linear_attraction", "amplitude": 1.0},
+    "init": {"kind": "spread", "mean_lo": -1.5, "mean_hi": 1.5, "std": 0.5},
+    "grid": {"x_min": -6.0, "x_max": 6.0, "cells": 256, "topology": "line"},
+    "time": {"t_end": 1.0, "snapshots": [0.0, 0.5, 1.0], "dt": 0.02},
+    "nu": 0.0, "sigma": 0.0, "seed": 7, "replicas": 200,
+    "observables": {"n_max": 2, "lambda": 1.0},
+    "rearrange": {"levels": 3, "cells": 4096},
+    "out_dir": "out",
+}
+
+
 @pytest.fixture
 def config_file(tmp_path):
     path = tmp_path / "config.json"
@@ -181,6 +194,15 @@ class TestCli:
         path = tmp_path / "cfl.json"
         path.write_text(json.dumps(doc))
         assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+
+    def test_stability_violation_exit_code(self, tmp_path, capsys):
+        # the README config with a step above the guard bound 0.5
+        doc = {**README_CONFIG, "time": {**README_CONFIG["time"], "dt": 1.0}}
+        path = tmp_path / "unstable.json"
+        path.write_text(json.dumps(doc))
+        assert main(["convergence", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "numeric guard" in err and "Traceback" not in err
 
     def test_determinism_across_threads(self, config_file, tmp_path):
         outs = []

@@ -5,7 +5,9 @@ import pytest
 
 from nxmf import (
     Grid1D,
+    Kernel,
     Law1D,
+    StabilityError,
     c1,
     c2,
     gaussian_fibers,
@@ -15,6 +17,7 @@ from nxmf import (
     meanfield_gap,
     w1,
 )
+from nxmf import seeding
 from nxmf.metrics import AgentLawSpec
 from nxmf.weights import SparseWeights
 
@@ -118,6 +121,23 @@ class TestIndependenceGap:
             independence_gap(w, linear_attraction(), laws, Grid1D(-6, 6, 64),
                              1.0, 0.05, 0, n_replicas=10)
 
+    def test_stability_guard(self):
+        # row sums 3/4, Lipschitz 1: dt = 1 is above the bound 2/3
+        w = gen_uniform(4, 1.0)
+        laws = AgentLawSpec.spread(4, -1, 1, 0.5)
+        with pytest.raises(StabilityError, match="admissible"):
+            independence_gap(w, linear_attraction(), laws, Grid1D(-6, 6, 64),
+                             1.0, 1.0, 0, n_replicas=100)
+
+    def test_nan_kernel_raises(self):
+        nan_kernel = Kernel(dim=1, eval=lambda x: np.full_like(x, np.nan), lipschitz=1.0,
+                            sup_norm=1.0, l1_norm=1.0, div_sup=1.0, zero_at_origin=False)
+        w = gen_uniform(4, 1.0)
+        laws = AgentLawSpec.spread(4, -1, 1, 0.5)
+        with pytest.raises(StabilityError, match="non-finite"):
+            independence_gap(w, nan_kernel, laws, Grid1D(-6, 6, 64),
+                             0.2, 0.05, 0, n_replicas=100)
+
     def test_time_zero_gap_within_tolerance(self):
         # identical initial laws at t = 0: the bound is 0 and the measured
         # gap is pure sampling + grid error, covered by the tolerance
@@ -161,6 +181,13 @@ class TestIndependenceGap:
 
 
 class TestMeanfieldGap:
+    def test_stability_guard(self):
+        w = gen_uniform(4, 1.0)
+        laws = AgentLawSpec.spread(4, -1, 1, 0.5)
+        with pytest.raises(StabilityError, match="admissible"):
+            meanfield_gap(w, linear_attraction(), laws, Grid1D(-6, 6, 64), [0.0, 1.0],
+                          dt=1.0, master_seed=0, n_seeds=4)
+
     def test_single_agent_degenerate(self):
         # one agent sitting at its law's mean with a tight fiber: the gap
         # is quadrature width, order dx
@@ -217,3 +244,13 @@ class TestAgentLawSpec:
         assert 0.4 < frac_left < 0.6
         fib = laws.fibers(Grid1D(-4, 4, 128))
         assert abs(fib.masses()[0] - 1.0) < 1e-12
+
+    def test_mixture_draws_agent_count_stable(self):
+        # adding a ninth agent leaves the first eight agents' draws unchanged
+        def spec(n):
+            return AgentLawSpec(means=np.tile([-2.0, 2.0], (n, 1)), stds=np.full((n, 2), 0.3),
+                                weights=np.tile([0.3, 0.7], (n, 1)))
+
+        a = spec(8).sample(seeding.stream(4, seeding.INIT, 0))
+        b = spec(9).sample(seeding.stream(4, seeding.INIT, 0))
+        assert np.array_equal(a, b[:8])

@@ -1,7 +1,10 @@
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nxmf import (
     Grid1D,
@@ -13,15 +16,15 @@ from nxmf import (
     gen_class_permutation,
     gen_uniform,
     hodgkin_huxley,
+    integrate,
     kuramoto,
     linear_attraction,
     mckean_drift,
-    step_deterministic,
     step_mckean,
-    step_stochastic,
 )
+from nxmf import particles
 from nxmf.pde import FiberedDensity
-from nxmf import seeding
+from nxmf.weights import SparseWeights
 from conftest import pure_linear_kernel, random_sparse_weights
 
 
@@ -87,21 +90,17 @@ class TestDrift:
         b = drift(w.permuted(perm), k, ParticleState(pos[perm]))
         assert np.abs(a - b).max() <= 1e-12
 
-    def test_step_permutation_symmetry_bit_exact(self, rng):
-        # simulate-then-permute equals permute-then-simulate, bitwise, with
-        # exactly rounded row sums (uniform weights: permuting leaves w fixed)
+    def test_trajectory_relabeling(self, rng):
+        # simulate-then-permute equals permute-then-simulate; only the
+        # order of the fast row sums differs
         n = 10
-        w = gen_uniform(n, 1.0)
+        w = random_sparse_weights(rng, n)
         k = linear_attraction()
         pos = rng.standard_normal((n, 1))
         perm = rng.permutation(n)
-        st = ParticleState(pos)
-        for _ in range(5):
-            st = step_deterministic(w, k, st, 0.05, summation="exact")
-        st_p = ParticleState(pos[perm])
-        for _ in range(5):
-            st_p = step_deterministic(w, k, st_p, 0.05, summation="exact")
-        assert np.array_equal(st.positions[perm], st_p.positions)
+        a = integrate(w, k, pos[None], [0.25], 0.05)[0, 0][perm]
+        b = integrate(w.permuted(perm), k, pos[perm][None], [0.25], 0.05)[0, 0]
+        assert np.abs(a - b).max() <= 1e-12
 
     def test_dimension_mismatch(self, rng):
         w = random_sparse_weights(rng, 4)
@@ -111,122 +110,141 @@ class TestDrift:
             drift(w, linear_attraction(), ParticleState(np.zeros((5, 1))))
 
 
+def one(positions):
+    """A single replica, shape (1, N, d)."""
+    return np.asarray(positions, dtype=np.float64)[None]
+
+
 class TestDeterministicStep:
     def test_zero_drift_fixed_point(self, rng):
         w = random_sparse_weights(rng, 6)
-        x = ParticleState(np.full((6, 1), 0.2))
-        st = step_deterministic(w, linear_attraction(), x, 0.05)
-        assert np.all(st.positions == 0.2)
-        assert st.time == 0.05
-
-    def test_euler_closed_form(self):
-        w = gen_uniform(2, 1.0)
-        k = pure_linear_kernel()
-        x0 = np.array([[0.0], [1.0]])
-        dt = 0.125
-        st = step_deterministic(w, k, ParticleState(x0), dt, method="euler")
-        expected = x0 + dt * 0.5 * (x0[::-1] - x0)
-        assert np.array_equal(st.positions, expected)
+        out = integrate(w, linear_attraction(), one(np.full((6, 1), 0.2)), [0.05, 0.1], 0.05)
+        assert out.shape == (2, 1, 6, 1)
+        assert np.all(out == 0.2)
 
     def test_rk4_against_exponential(self):
         # two-body linear attraction: the gap contracts as exp(-w_bar t)
         w = gen_uniform(2, 1.0)
         k = pure_linear_kernel()
-        x0 = np.array([[0.0], [1.0]])
-
-        def run(dt, t_end):
-            st = ParticleState(x0)
-            for _ in range(round(t_end / dt)):
-                st = step_deterministic(w, k, st, dt)
-            return st.positions
-
+        x0 = one([[0.0], [1.0]])
         t_end = 0.4
         exact_gap = math.exp(-t_end) * 1.0
         errs = []
         for dt in (0.1, 0.05):
-            pos = run(dt, t_end)
+            pos = integrate(w, k, x0, [t_end], dt)[0, 0]
             errs.append(abs((pos[1, 0] - pos[0, 0]) - exact_gap))
         assert errs[0] / errs[1] >= 8.0  # fourth order: halving dt gains ~16x
 
     def test_mean_preserved_two_body(self):
         w = gen_uniform(2, 1.0)
-        k = pure_linear_kernel()
-        st = ParticleState(np.array([[0.0], [1.0]]))
-        for _ in range(10):
-            st = step_deterministic(w, k, st, 0.1)
-        assert abs(st.positions.mean() - 0.5) < 1e-14
+        pos = integrate(w, pure_linear_kernel(), one([[0.0], [1.0]]), [1.0], 0.1)[0, 0]
+        assert abs(pos.mean() - 0.5) < 1e-14
 
     def test_stability_guard(self):
         w = gen_uniform(4, 1.0)
-        x = ParticleState(np.zeros((4, 1)))
         with pytest.raises(StabilityError, match="admissible"):
-            step_deterministic(w, linear_attraction(), x, 1.0)
+            integrate(w, linear_attraction(), one(np.zeros((4, 1))), [1.0], 1.0)
 
     @pytest.mark.parametrize("stepper", ["deterministic", "stochastic", "mckean"])
     def test_guard_fires_after_admissible_step(self, stepper):
-        # the scaling report is cached on w after the first step; the guard
-        # must still reject an inadmissible dt on every later step
+        # the scaling report is cached on w after the first span; the guard
+        # must still reject an inadmissible step on every later span
         w = gen_uniform(4, 1.0)
         k = linear_attraction()
         laws = gaussian_fibers(Grid1D(-4.0, 4.0, 64), [0.0] * 4, [0.5] * 4)
-        g = seeding.stream(5, seeding.NOISE, 0)
         step = {
-            "deterministic": lambda x, dt: step_deterministic(w, k, x, dt),
-            "stochastic": lambda x, dt: step_stochastic(w, k, x, dt, 0.1, g),
-            "mckean": lambda x, dt: step_mckean(w, k, x, laws, dt),
+            "deterministic": lambda x, dt: integrate(w, k, x[None], [dt], dt)[0, 0],
+            "stochastic": lambda x, dt: integrate(w, k, x[None], [dt], dt, 0.1, 5)[0, 0],
+            "mckean": lambda x, dt: step_mckean(w, k, ParticleState(x), laws, dt).positions,
         }[stepper]
-        x = step(ParticleState(np.linspace(-1.0, 1.0, 4)[:, None]), 0.1)
+        x = step(np.linspace(-1.0, 1.0, 4)[:, None], 0.1)
         x = step(x, 0.5 / 0.75)
         with pytest.raises(StabilityError, match="admissible"):
             step(x, 0.5 / 0.75 * (1 + 1e-9))
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    def test_guard_checks_every_span(self, sigma):
+        # row sums 3/4: steps up to 2/3 are admissible; spans 0.5, 0.625
+        # pass and a later one-step span of 0.6875 does not
+        w = gen_uniform(4, 1.0)
+        k = linear_attraction()
+        x0 = one(np.linspace(-1.0, 1.0, 4)[:, None])
+        integrate(w, k, x0, [0.5, 1.125], 0.5, sigma)
+        with pytest.raises(StabilityError, match="admissible"):
+            integrate(w, k, x0, [0.5, 1.125, 1.8125], 0.5, sigma)
+
     def test_torus_wrap(self):
         w = gen_uniform(2, 0.1)
-        k = kuramoto()
-        x = ParticleState(np.array([[6.2], [0.1]]))
-        st = step_deterministic(w, k, x, 0.1)
-        assert np.all(st.positions >= 0.0) and np.all(st.positions < 2 * math.pi)
+        out = integrate(w, kuramoto(), one([[6.2], [0.1]]), [0.1], 0.1)
+        assert np.all(out >= 0.0) and np.all(out < 2 * math.pi)
+
+    def test_self_drift_constant_velocity(self):
+        omega = np.array([[0.5], [-1.25], [2.0]])
+        k = dataclasses.replace(linear_attraction(),
+                                self_drift=lambda x: np.broadcast_to(omega, x.shape))
+        x0 = one([[0.1], [0.2], [0.3]])
+        out = integrate(SparseWeights(3, [], [], []), k, x0, [0.3, 1.0], 0.1)
+        for ti, t in enumerate((0.3, 1.0)):
+            assert np.allclose(out[ti, 0], x0[0] + omega * t, rtol=0.0, atol=1e-12)
+
+    def test_non_finite_state_raises(self):
+        k = dataclasses.replace(linear_attraction(), self_drift=lambda x: np.full_like(x, np.inf))
+        with np.errstate(invalid="ignore"), pytest.raises(StabilityError, match="non-finite"):
+            integrate(gen_uniform(2, 1.0), k, one([[0.0], [1.0]]), [0.1], 0.05)
+
+    @pytest.mark.parametrize("times", [[0.2, 0.1], [-0.1], [math.nan]])
+    def test_times_must_be_sorted(self, times):
+        with pytest.raises(ValueError, match="sorted"):
+            integrate(gen_uniform(2, 1.0), linear_attraction(), one([[0.0], [1.0]]), times, 0.05)
 
 
 class TestStochasticStep:
-    def test_sigma_zero_matches_euler(self, rng):
-        w = random_sparse_weights(rng, 8)
-        k = linear_attraction()
-        x = ParticleState(rng.standard_normal((8, 1)))
-        g = seeding.stream(1, seeding.NOISE, 0)
-        a = step_stochastic(w, k, x, 0.05, 0.0, g)
-        b = step_deterministic(w, k, x, 0.05, method="euler")
-        assert np.array_equal(a.positions, b.positions)
-
     def test_increment_variance(self):
         # zero drift (empty weights), sigma = 1: Var per coordinate = dt
-        from nxmf import SparseWeights
-
         n = 100_000
         w = SparseWeights(n, [], [], [])
-        k = linear_attraction()
-        x = ParticleState(np.zeros((n, 1)))
         dt = 0.07
-        g = seeding.stream(3, seeding.NOISE, 0)
-        st = step_stochastic(w, k, x, dt, 1.0, g)
-        inc = st.positions[:, 0]
+        inc = integrate(w, linear_attraction(), np.zeros((1, n, 1)), [dt], dt, 1.0, 3)[0, 0, :, 0]
         var = inc.var(ddof=1)
         se = math.sqrt(2.0 / (n - 1)) * dt  # SE of a variance estimate
         assert abs(var - dt) <= 3 * se
 
     def test_fixed_seed_bit_identical(self, rng):
         w = random_sparse_weights(rng, 6)
-        k = linear_attraction()
-        x0 = ParticleState(rng.standard_normal((6, 1)))
+        x0 = one(rng.standard_normal((6, 1)))
 
         def run():
-            st = x0
-            for s in range(20):
-                g = seeding.stream(42, seeding.NOISE, 0, s)
-                st = step_stochastic(w, k, st, 0.02, 0.5, g)
-            return st.positions
+            return integrate(w, linear_attraction(), x0, [0.4], 0.02, 0.5, 42)
 
         assert np.array_equal(run(), run())
+
+
+class TestReproducibility:
+    @pytest.mark.parametrize("sigma", [0.0, 0.4])
+    @settings(max_examples=6, deadline=None)
+    @given(chunk=st.sampled_from([1, 7, 33]), seed=st.integers(0, 2**32 - 1),
+           n=st.integers(1, 5))
+    def test_replica_independent_of_count_and_chunking(self, sigma, chunk, seed, n):
+        # 70 replicas in chunks of `chunk` against 130 in the fixed chunks of
+        # 64: the shared replicas must follow bitwise the same trajectories
+        rng = np.random.default_rng(seed)
+        w = random_sparse_weights(rng, n, density=0.6)
+        x0 = rng.standard_normal((130, n, 1))
+        k = linear_attraction()
+        many = integrate(w, k, x0, [0.05, 0.1], 0.05, sigma, seed)
+        with mock.patch.object(particles, "CHUNK", chunk):
+            few = integrate(w, k, x0[:70], [0.05, 0.1], 0.05, sigma, seed)
+        assert np.array_equal(few, many[:, :70])
+
+    def test_split_times_same_final_state(self, rng):
+        # the same 4-step partition with or without an intermediate output:
+        # the noise key is the global step, not the step within a span
+        w = random_sparse_weights(rng, 8)
+        x0 = rng.standard_normal((3, 8, 1))
+        k = linear_attraction()
+        split = integrate(w, k, x0, [0.1, 0.2], 0.05, 0.3, 11)
+        whole = integrate(w, k, x0, [0.2], 0.05, 0.3, 11)
+        assert np.array_equal(split[-1], whole[-1])
 
 
 class TestMcKean:
@@ -312,16 +330,13 @@ class TestHodgkinHuxley:
         # constant rates: each gate relaxes to alpha / (alpha + beta)
         k = self.make()
         w = gen_uniform(2, 0.0)
-        st = ParticleState(np.array([[0.0, 0.5, 0.5, 0.5], [0.0, 0.5, 0.5, 0.5]]))
-        for _ in range(8000):
-            st = step_deterministic(w, k, st, 0.01)
+        x0 = one([[0.0, 0.5, 0.5, 0.5], [0.0, 0.5, 0.5, 0.5]])
+        pos = integrate(w, k, x0, [80.0], 0.01)[0, 0]
         n_inf = 0.1 / (0.1 + 0.125)
-        assert abs(st.positions[0, 1] - n_inf) < 1e-8
+        assert abs(pos[0, 1] - n_inf) < 1e-8
 
     def test_two_neuron_coupling_runs(self, rng):
         k = self.make()
         w = gen_uniform(2, 0.5)
-        st = ParticleState(np.array([[10.0, 0.3, 0.05, 0.6], [0.0, 0.3, 0.05, 0.6]]))
-        for _ in range(50):
-            st = step_deterministic(w, k, st, 0.01)
-        assert np.all(np.isfinite(st.positions))
+        x0 = one([[10.0, 0.3, 0.05, 0.6], [0.0, 0.3, 0.05, 0.6]])
+        assert np.all(np.isfinite(integrate(w, k, x0, [0.5], 0.01)))
