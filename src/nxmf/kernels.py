@@ -5,7 +5,8 @@ error estimates need (Lipschitz constant, sup norm, L1 norm, sup of the
 divergence) and the state-space geometry.  K acts on difference vectors of
 shape (..., dim).  An optional self_drift carries uncoupled per-agent
 dynamics (used by the neuron preset); it plays no role in the interaction
-bounds.
+bounds.  A kernel declared odd (K(-x) = -K(x) bitwise) lets the particle
+drift evaluate each unordered pair of a symmetric weight matrix once.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ class Domain:
 
 LINE = Domain("line")
 
+# fixed points on which a kernel declared odd must satisfy K(-x) == -K(x)
+_ODD_PROBE = np.array([1e-3, 0.25, 0.7, 1.3, 2.9, 5.5, 40.0])
+
 
 @dataclass(frozen=True)
 class Kernel:
@@ -44,6 +48,7 @@ class Kernel:
     domain: Domain = LINE
     self_drift: Callable[[np.ndarray], np.ndarray] | None = field(default=None)
     name: str = "custom"
+    odd: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
@@ -55,6 +60,12 @@ class Kernel:
             z = np.asarray(self.eval(np.zeros((1, self.dim))))
             if not np.allclose(z, 0.0, atol=1e-15):
                 raise ValueError("kernel flagged zero_at_origin but K(0) != 0")
+        if self.odd:
+            p = _ODD_PROBE[:, None] * (-1.5) ** np.arange(self.dim)
+            v = np.asarray(self.eval(np.concatenate((p, -p))))
+            # a NaN stays NaN when folded; the particle guards reject it later
+            if not np.array_equal(v[p.shape[0]:], -v[:p.shape[0]], equal_nan=True):
+                raise ValueError("kernel flagged odd but K(-x) != -K(x)")
 
     @property
     def w1inf_norm(self) -> float:
@@ -85,6 +96,7 @@ def kuramoto(coupling: float = 1.0, period: float = 2.0 * math.pi) -> Kernel:
         zero_at_origin=True,
         domain=Domain("torus", period),
         name="kuramoto",
+        odd=True,
     )
 
 
@@ -110,6 +122,7 @@ def linear_attraction(amplitude: float = 1.0) -> Kernel:
         zero_at_origin=True,
         domain=LINE,
         name="linear_attraction",
+        odd=True,
     )
 
 
@@ -163,6 +176,7 @@ def hodgkin_huxley(constants: dict, alpha: dict, beta: dict) -> Kernel:
         domain=LINE,
         self_drift=self_drift,
         name="hodgkin_huxley",
+        odd=True,
     )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,58 +72,81 @@ def _wrap(positions: np.ndarray, k: Kernel) -> np.ndarray:
     return positions
 
 
-def _entry_row_matrix(w: SparseWeights) -> sp.csr_matrix:
-    """(N, nnz) indicator summing entry values into their rows.
+class _DriftPlan(NamedTuple):
+    rows: np.ndarray           # (n_eval,) row of each entry K is evaluated on
+    cols: np.ndarray
+    vals: np.ndarray
+    rowsum: sp.csr_matrix      # (N, n_eval) signed indicator
 
-    Summation order per row is the stored (row, col) order, independent of
-    any batching of the right-hand side, which keeps results bitwise stable
-    across batch sizes and worker counts.
+
+def _drift_plan(w: SparseWeights, k: Kernel) -> _DriftPlan:
+    """The entries drift_batch evaluates K on, and the indicator that sums
+    their values into rows.
+
+    For a symmetric w and an odd K only the entries with row <= col are
+    evaluated, and entry (i, j) below the diagonal takes minus the value of
+    (j, i): w_ij K(x_i - x_j) == -(w_ji K(x_j - x_i)) bitwise.  Row i of the
+    indicator lists its entries in the stored (row, col) order, with sign
+    -1 for the folded ones, so every row adds the same numbers in the same
+    order whether or not pairs are folded and however the right-hand side
+    is batched.  That keeps results bitwise stable across both.  Cached on
+    w, one plan per case.
     """
-    cached = getattr(w, "_rowmat", None)
-    if cached is None:
-        cached = sp.csr_matrix(
-            (np.ones(w.nnz), np.arange(w.nnz), w._indptr), shape=(w.n_agents, w.nnz)
-        )
-        w._rowmat = cached
-    return cached
+    t = w.transpose_index() if k.odd else None
+    key = "_entry_plan" if t is None else "_pair_plan"
+    plan = getattr(w, key, None)
+    if plan is None:
+        if t is None:
+            keep = slice(None)
+            src, sign = np.arange(w.nnz), np.ones(w.nnz)
+        else:
+            keep = w.rows0 <= w.cols0
+            slot = np.cumsum(keep) - 1          # compact position of each kept entry
+            src = slot[np.where(keep, np.arange(w.nnz), t)]
+            sign = np.where(keep, 1.0, -1.0)
+        rows = w.rows0[keep]
+        rowsum = sp.csr_matrix((sign, src, w._indptr), shape=(w.n_agents, rows.size))
+        plan = _DriftPlan(rows, w.cols0[keep], w.values[keep], rowsum)
+        setattr(w, key, plan)
+    return plan
 
 
-def drift(w: SparseWeights, k: Kernel, x: ParticleState, summation: str = "fast") -> np.ndarray:
-    """Interaction drift sum_j w_ij K(x_i - x_j), sparse row traversal.
+def _drift_scratch(w, k, n_rep, d):
+    """Buffers for drift_batch on n_rep replicas of dimension d."""
+    n_eval = _drift_plan(w, k).rows.size
+    return np.empty((n_eval, n_rep, d)), np.empty((n_eval, n_rep, d))
 
-    summation='fast' is drift_batch on a single replica (rows accumulated
-    in stored entry order); summation='exact' uses exactly rounded per-row
-    sums, which makes the result independent of entry ordering (and hence
-    bit-stable under simultaneous agent relabelings) at a large speed cost.
-    """
+
+def drift(w: SparseWeights, k: Kernel, x: ParticleState) -> np.ndarray:
+    """Interaction drift sum_j w_ij K(x_i - x_j) of one state: drift_batch
+    on a single replica, after checking that w, k and x agree."""
     if w.n_agents != x.n_agents:
         raise ValueError("weights and state disagree on the number of agents")
     if k.dim != x.dim:
         raise ValueError(f"kernel dimension {k.dim} != state dimension {x.dim}")
-    pos = x.positions
-    if summation == "fast":
-        return drift_batch(w, k, pos[None])[0]
-    if summation != "exact":
-        raise ValueError("summation must be 'fast' or 'exact'")
-    kv = k.eval(pos[w.rows0] - pos[w.cols0]) * w.values[:, None]
-    out = np.zeros_like(pos)
-    for i in range(x.n_agents):
-        lo, hi = w._indptr[i], w._indptr[i + 1]
-        for a in range(x.dim):
-            out[i, a] = math.fsum(kv[lo:hi, a])
-    return out
+    return drift_batch(w, k, x.positions[None])[0]
 
 
-def drift_batch(w, k, positions):
-    """Drift for a stack of independent replicas, shape (R, N, d)."""
+def drift_batch(w, k, positions, scratch=None):
+    """Drift for a stack of independent replicas, shape (R, N, d).
+
+    Work is entry-major: positions are gathered into (n_eval, R, d)
+    buffers, so the row sum reads them with no transpose.  For a symmetric
+    w and an odd K each unordered pair is evaluated once, with results
+    bitwise equal to evaluating every entry (see _drift_plan).  scratch, from
+    _drift_scratch for the same R, supplies those buffers; without it they
+    are allocated per call.
+    """
     r, n, d = positions.shape
-    diff = positions[:, w.rows0, :] - positions[:, w.cols0, :]
-    kv = k.eval(diff) * w.values[None, :, None]
-    rowmat = _entry_row_matrix(w)
-    out = np.empty_like(positions)
-    for a in range(d):
-        out[..., a] = (rowmat @ kv[..., a].T).T
-    return out
+    plan = _drift_plan(w, k)
+    a, b = _drift_scratch(w, k, r, d) if scratch is None else scratch
+    by_agent = np.ascontiguousarray(positions.transpose(1, 0, 2))
+    # mode="clip" lets take write straight into out; "raise" buffers it
+    np.take(by_agent, plan.rows, axis=0, out=a, mode="clip")
+    np.take(by_agent, plan.cols, axis=0, out=b, mode="clip")
+    np.subtract(a, b, out=a)
+    np.multiply(k.eval(a), plan.vals[:, None, None], out=b)
+    return (plan.rowsum @ b.reshape(-1, r * d)).reshape(n, r, d).transpose(1, 0, 2)
 
 
 def _check_guard(w, k, dt):
@@ -184,7 +208,7 @@ def integrate(w: SparseWeights, k: Kernel, x0, times, dt: float, sigma: float = 
     spans = _spans(w, k, times, dt)
 
     def rhs(p):
-        total = drift_batch(w, k, p)
+        total = drift_batch(w, k, p, scratch)
         if k.self_drift is not None:
             total = total + k.self_drift(p)
         return total
@@ -192,6 +216,7 @@ def integrate(w: SparseWeights, k: Kernel, x0, times, dt: float, sigma: float = 
     out = np.empty((len(spans), n_rep, n, d))
     for lo in range(0, n_rep, CHUNK):
         pos = x0[lo:lo + CHUNK]
+        scratch = _drift_scratch(w, k, pos.shape[0], d)    # reused by every step of the chunk
         s = 0
         for ti, (n_steps, h) in enumerate(spans):
             for _ in range(n_steps):
@@ -233,7 +258,7 @@ def mckean_drift(w, k, x: ParticleState, laws) -> np.ndarray:
 
 
 def step_mckean(w, k, x: ParticleState, laws, dt: float, sigma: float = 0.0,
-                rng=None, omega=None) -> ParticleState:
+                rng=None) -> ParticleState:
     """Euler-Maruyama step of the frozen-law system."""
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -241,8 +266,6 @@ def step_mckean(w, k, x: ParticleState, laws, dt: float, sigma: float = 0.0,
     total = mckean_drift(w, k, x, laws)
     if k.self_drift is not None:
         total = total + k.self_drift(x.positions)
-    if omega is not None:
-        total = total + omega
     new = x.positions + dt * total
     if sigma > 0:
         if rng is None:

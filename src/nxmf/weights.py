@@ -75,6 +75,7 @@ class SparseWeights:
         self._csr = None
         self._csc = None
         self._scaling = None
+        self._transpose = None     # transpose_index(): None until computed, False if asymmetric
 
     @classmethod
     def from_entries(cls, n_agents: int, entries) -> "SparseWeights":
@@ -134,6 +135,38 @@ class SparseWeights:
                 (self._vals, (self._cols, self._rows)), shape=(self.n_agents, self.n_agents)
             )
         return self._csc
+
+    def transpose_index(self) -> np.ndarray | None:
+        """Storage position of entry (j, i) for every stored entry (i, j), or
+        None unless the matrix equals its transpose bitwise.
+
+        Computed on the first call and cached.  Most asymmetric matrices are
+        rejected on their first non-empty row, without nnz-sized temporaries.
+        """
+        if self._transpose is None:
+            self._transpose = self._find_transpose()
+        return None if self._transpose is False else self._transpose
+
+    def _find_transpose(self):
+        rows, cols, vals, nnz = self._rows, self._cols, self._vals, self.nnz
+        if nnz == 0:
+            return np.zeros(0, dtype=np.int64)
+        # i is the first non-empty row.  In a symmetric matrix no column is
+        # smaller than i either, so each (j, i) must lead its row j.
+        i = rows[0]
+        js = cols[:self._indptr[i + 1]]
+        lead = np.minimum(self._indptr[js], nnz - 1)
+        if not (np.array_equal(rows[lead], js) and np.all(cols[lead] == i)
+                and np.array_equal(vals[lead], vals[:js.size])):
+            return False
+        key = rows * self.n_agents + cols              # ascending: entries are (row, col)-sorted
+        tkey = cols * self.n_agents + rows
+        pos = np.minimum(np.searchsorted(key, tkey), nnz - 1)
+        if not (np.array_equal(key[pos], tkey)
+                and np.array_equal(vals[pos].view(np.uint64), vals.view(np.uint64))):
+            return False
+        pos.setflags(write=False)
+        return pos
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n_agents, self.n_agents))

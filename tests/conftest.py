@@ -18,6 +18,20 @@ def random_sparse_weights(rng, n, density=0.3, scale=None):
     return SparseWeights(n, rows, cols, vals)
 
 
+def random_symmetric_weights(rng, n, density=0.3):
+    """Random symmetric sparse matrix: random values, a partly filled
+    diagonal and about a fifth of the agents with empty rows."""
+    upper = np.triu(rng.random((n, n)) < density)
+    empty = rng.random(n) < 0.2
+    upper[empty, :] = False
+    upper[:, empty] = False
+    i, j = np.nonzero(upper)
+    vals = rng.uniform(-1.0, 1.0, size=i.size) / max(1.0, density * n)
+    off = i != j
+    return SparseWeights(n, np.concatenate((i, j[off])), np.concatenate((j, i[off])),
+                         np.concatenate((vals, vals[off])))
+
+
 def random_fibers(rng, grid, n_fibers):
     means = rng.uniform(grid.x_min * 0.4, grid.x_max * 0.4, size=n_fibers)
     stds = rng.uniform(0.3, 1.0, size=n_fibers)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nxmf import (
     Grid1D,
@@ -41,7 +42,30 @@ def greedy_transport_oracle(xa, wa, xb, wb):
     return cost
 
 
+def random_law(rng, kind):
+    """An atom law (some atoms repeated) or a grid law (some cells empty)
+    on a random interval."""
+    if kind == "atoms":
+        x = np.round(rng.uniform(-3.0, 3.0, int(rng.integers(1, 12))), 1)
+        wts = rng.random(x.size) + 0.01
+        return Law1D.from_atoms(x, wts / wts.sum())
+    lo = rng.uniform(-3.0, 1.0)
+    g = Grid1D(lo, lo + rng.uniform(0.5, 4.0), int(rng.integers(8, 40)))
+    v = rng.random(g.n_cells) * (rng.random(g.n_cells) < 0.7) + 1e-3
+    return Law1D.from_grid(g, v / (v.sum() * g.dx))
+
+
 class TestW1:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kinds=st.tuples(*[st.sampled_from(["atoms", "grid"])] * 3))
+    def test_symmetry_and_triangle_property(self, seed, kinds):
+        rng = np.random.default_rng(seed)
+        a, b, c = (random_law(rng, kind) for kind in kinds)
+        dab, dba = w1(a, b), w1(b, a)
+        assert abs(dab - dba) <= 1e-12 * dab
+        assert dab <= (w1(a, c) + w1(c, b)) * (1 + 1e-12)
+
     def test_unit_translation(self):
         assert w1(Law1D.from_atoms([0.0]), Law1D.from_atoms([1.0])) == 1.0
 

@@ -23,9 +23,11 @@ from nxmf import (
     step_mckean,
 )
 from nxmf import particles
+from nxmf.kernels import LINE, Kernel
+from nxmf.particles import drift_batch
 from nxmf.pde import FiberedDensity
 from nxmf.weights import SparseWeights
-from conftest import pure_linear_kernel, random_sparse_weights
+from conftest import pure_linear_kernel, random_sparse_weights, random_symmetric_weights
 
 
 def dense_drift_oracle(w, k, positions):
@@ -38,6 +40,27 @@ def dense_drift_oracle(w, k, positions):
             if dense[i, j] != 0.0:
                 out[i] += dense[i, j] * k.eval(positions[i : i + 1] - positions[j : j + 1])[0]
     return out
+
+
+def exact_drift(w, k, positions):
+    """Drift with exactly rounded (math.fsum) row sums, which makes the
+    result independent of the order of the entries."""
+    kv = k.eval(positions[w.rows0] - positions[w.cols0]) * w.values[:, None]
+    out = np.zeros_like(positions)
+    for i in range(positions.shape[0]):
+        for a in range(positions.shape[1]):
+            out[i, a] = math.fsum(kv[w.rows0 == i, a])
+    return out
+
+
+def odd_2d():
+    """A custom odd kernel on the plane, K(x) = -x / (1 + |x|^2)."""
+    return Kernel(dim=2, eval=lambda x: -x / (1.0 + (x * x).sum(axis=-1, keepdims=True)),
+                  lipschitz=1.0, sup_norm=0.5, l1_norm=math.inf, div_sup=2.0,
+                  zero_at_origin=True, odd=True)
+
+
+ODD_KERNELS = {"kuramoto": kuramoto, "linear_attraction": linear_attraction, "odd_2d": odd_2d}
 
 
 class TestDrift:
@@ -76,9 +99,11 @@ class TestDrift:
         k = linear_attraction()
         pos = rng.standard_normal((n, 1))
         perm = rng.permutation(n)
-        d_then_perm = drift(w, k, ParticleState(pos), summation="exact")[perm]
-        perm_then_d = drift(w.permuted(perm), k, ParticleState(pos[perm]), summation="exact")
+        d_then_perm = exact_drift(w, k, pos)[perm]
+        perm_then_d = exact_drift(w.permuted(perm), k, pos[perm])
         assert np.array_equal(d_then_perm, perm_then_d)
+        # a dozen terms of size <= 1/3 per row: a few ulps of 1 at most
+        assert np.abs(drift(w, k, ParticleState(pos)) - exact_drift(w, k, pos)).max() <= 1e-14
 
     def test_permutation_symmetry_fast_mode(self, rng):
         n = 30
@@ -108,6 +133,64 @@ class TestDrift:
             drift(w, linear_attraction(), ParticleState(np.zeros((4, 2))))
         with pytest.raises(ValueError):
             drift(w, linear_attraction(), ParticleState(np.zeros((5, 1))))
+
+
+class TestPairSymmetry:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), n_rep=st.integers(1, 70),
+           density=st.sampled_from([0.2, 0.5, 1.0]), name=st.sampled_from(sorted(ODD_KERNELS)),
+           sigma=st.sampled_from([0.0, 0.3]))
+    def test_pair_path_bitwise_equals_general_path(self, seed, n, n_rep, density, name, sigma):
+        # a symmetric w with an odd K evaluates each unordered pair once;
+        # the same kernel declared not odd evaluates every stored entry
+        rng = np.random.default_rng(seed)
+        w = random_symmetric_weights(rng, n, density)
+        k = ODD_KERNELS[name]()
+        general = dataclasses.replace(k, odd=False)
+        assert particles._drift_plan(w, k).rows.size == np.count_nonzero(w.rows0 <= w.cols0)
+        assert particles._drift_plan(w, general).rows.size == w.nnz
+        x = rng.uniform(0.0, 2 * math.pi, (n_rep, n, k.dim))
+        assert np.array_equal(drift_batch(w, k, x), drift_batch(w, general, x))
+        assert np.array_equal(integrate(w, k, x, [0.05, 0.1], 0.05, sigma, seed),
+                              integrate(w, general, x, [0.05, 0.1], 0.05, sigma, seed))
+
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_one_ulp_asymmetry_falls_back(self, rng, where):
+        # perturb the first or the last off-diagonal entry by one ulp: the
+        # matrix is no longer symmetric and every entry is evaluated
+        w = random_symmetric_weights(rng, 12, 0.5)
+        vals = w.values.copy()
+        e = np.flatnonzero(w.rows0 != w.cols0)[where]
+        vals[e] = np.nextafter(vals[e], np.inf)
+        bent = SparseWeights(12, w.rows0, w.cols0, vals)
+        assert w.transpose_index() is not None
+        assert bent.transpose_index() is None
+        k = linear_attraction()
+        assert particles._drift_plan(bent, k).rows.size == bent.nnz
+        x = rng.standard_normal((3, 12, 1))
+        assert np.array_equal(drift_batch(bent, k, x),
+                              drift_batch(bent, dataclasses.replace(k, odd=False), x))
+
+    def test_scratch_reused_across_calls(self, rng):
+        w = random_symmetric_weights(rng, 10, 0.5)
+        k = linear_attraction()
+        x = rng.standard_normal((5, 10, 1))
+        scratch = particles._drift_scratch(w, k, 5, 1)
+        first = drift_batch(w, k, x, scratch)
+        assert np.array_equal(drift_batch(w, k, 2 * x, scratch), drift_batch(w, k, 2 * x))
+        assert np.array_equal(first, drift_batch(w, k, x))
+
+
+class TestOddKernel:
+    @pytest.mark.parametrize("k_eval", [lambda x: x**2, lambda x: -x + 1e-3])
+    def test_not_odd_rejected(self, k_eval):
+        with pytest.raises(ValueError, match="odd"):
+            Kernel(dim=1, eval=k_eval, lipschitz=1.0, sup_norm=1.0, l1_norm=1.0, div_sup=1.0,
+                   zero_at_origin=False, domain=LINE, odd=True)
+
+    def test_presets_are_odd(self):
+        assert kuramoto().odd and linear_attraction().odd and TestHodgkinHuxley().make().odd
+        assert odd_2d().odd and not pure_linear_kernel().odd
 
 
 def one(positions):

@@ -15,7 +15,7 @@ from nxmf import (
     load_edge_list,
     save_edge_list,
 )
-from conftest import random_sparse_weights
+from conftest import random_sparse_weights, random_symmetric_weights
 
 
 def cyclic_perm(n_classes):
@@ -100,6 +100,44 @@ class TestCheckScaling:
             w = random_sparse_weights(rng, 17)
             perm = rng.permutation(17)
             assert check_scaling(w.permuted(perm)) == check_scaling(w)
+
+
+class TestTransposeIndex:
+    def test_points_at_transposed_entry(self, rng):
+        for n in (1, 5, 30):
+            w = random_symmetric_weights(rng, n, density=0.4)
+            t = w.transpose_index()
+            assert np.array_equal(w.rows0[t], w.cols0)
+            assert np.array_equal(w.cols0[t], w.rows0)
+            assert np.array_equal(w.values[t], w.values)
+
+    def test_symmetric_generators(self):
+        assert gen_uniform(6, 1.0).transpose_index() is not None
+        assert gen_class_permutation(12, 4, [1, 2, 3]).transpose_index() is not None
+        assert gen_class_permutation(12, 4, [2, 1, 3]).transpose_index() is not None
+        assert gen_from_graphon(9, lambda x, y: x + y).transpose_index() is not None
+        assert SparseWeights(4, [], [], []).transpose_index().size == 0
+
+    def test_asymmetric_rejected(self, rng):
+        assert gen_class_permutation(12, 4, cyclic_perm(3)).transpose_index() is None
+        assert gen_from_graphon(9, lambda x, y: x * x + y).transpose_index() is None
+        # the first row is symmetric, a later one is not
+        w = SparseWeights(4, [0, 1, 2, 3], [1, 0, 3, 2], [0.5, 0.5, 0.25, -0.25])
+        assert w.transpose_index() is None
+        assert SparseWeights(3, [1], [2], [1.0]).transpose_index() is None
+        # -0.0 and 0.0 differ bitwise
+        assert SparseWeights(2, [0, 1], [1, 0], [0.0, -0.0]).transpose_index() is None
+
+    def test_second_call_returns_cached_index(self, rng):
+        w = random_symmetric_weights(rng, 20)
+        assert w.transpose_index() is w.transpose_index()
+
+    def test_permuted_matrix_gets_own_index(self, rng):
+        w = random_symmetric_weights(rng, 20)
+        p = w.permuted(rng.permutation(20))
+        other = p.transpose_index()
+        assert other is not w.transpose_index()
+        assert np.array_equal(p.rows0[other], p.cols0)
 
 
 class TestGenerators:
