@@ -1,8 +1,9 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nxmf import (
     Grid1D,
@@ -12,15 +13,20 @@ from nxmf import (
     c1,
     c2,
     gaussian_fibers,
+    gen_class_permutation,
     gen_uniform,
     independence_gap,
+    integrate,
+    kuramoto,
     linear_attraction,
+    marginal,
     meanfield_gap,
+    solve,
     w1,
 )
-from nxmf import seeding
-from nxmf.metrics import AgentLawSpec
-from nxmf.weights import SparseWeights
+from nxmf import metrics, seeding
+from nxmf.metrics import MASS_TOL, AgentLawSpec, GapReport
+from nxmf.weights import SparseWeights, check_scaling
 
 
 def greedy_transport_oracle(xa, wa, xb, wb):
@@ -114,6 +120,182 @@ class TestW1:
         g = Grid1D(0, 1, 8)
         with pytest.raises(ValueError, match="mass"):
             Law1D.from_grid(g, np.full(8, 2.0))
+
+
+def bits(a):
+    """The IEEE bit patterns of a float array, for bitwise comparison."""
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def report_bits(reports):
+    return [(r.t, r.seeds, *bits([r.gap, r.bound, r.stderr, r.dx]).tolist()) for r in reports]
+
+
+class TestBatchedW1:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12),
+           topology=st.sampled_from(["line", "torus"]))
+    @example(seed=0, m=1, topology="line")
+    @example(seed=1, m=1, topology="torus")
+    def test_bitwise_equal_to_w1(self, seed, m, topology):
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-3.0, 1.0)
+        g = Grid1D(lo, lo + rng.uniform(0.5, 4.0), int(rng.integers(8, 40)), topology)
+        edges = g.x_min + np.arange(g.n_cells + 1) * g.dx
+        rows, n_draws = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+        # atoms drawn with repeats from grid edges and points in and around the grid
+        pool = np.concatenate((edges, rng.uniform(g.x_min - 1.0, g.x_max + 1.0, 8)))
+        x = rng.choice(pool, (rows, m))
+        x[0, 0] = edges[rng.integers(edges.size)]
+        x[-1, -1] = g.x_max + rng.uniform(0.0, 1.0)
+        if m > 1:
+            x[:, 1] = x[:, 0]
+        v = rng.random((rows, g.n_cells)) * (rng.random((rows, g.n_cells)) < 0.7)
+        v[:, 0] += 0.1
+        v /= v.sum(axis=1, keepdims=True) * g.dx
+        # zero weights in every draw but the first; the last has one atom
+        wv = rng.random((n_draws, m)) * (rng.random((n_draws, m)) < 0.6)
+        wv[np.arange(n_draws), rng.integers(0, m, n_draws)] += 0.1
+        wv[0] += 0.1
+        wv[-1] = 0.0
+        wv[-1, rng.integers(m)] = 1.0
+        wv /= wv.sum(axis=1, keepdims=True)
+
+        got = metrics._w1_atoms_vs_grid(x, g, v, wv)
+        ref = np.array([[w1(Law1D.from_atoms(x[r, wd > 0], wd[wd > 0]),
+                            Law1D.from_grid(g, v[r])) for r in range(rows)] for wd in wv])
+        assert np.array_equal(bits(got), bits(ref))
+
+    def test_blocks_do_not_change_bits(self, rng, monkeypatch):
+        g = Grid1D(-2.0, 2.0, 16)
+        x = rng.standard_normal((7, 9))
+        v = gaussian_fibers(g, rng.uniform(-1, 1, 7), np.full(7, 0.5)).values
+        wv = rng.multinomial(9, np.full(9, 1 / 9), size=3) / 9
+        whole = metrics._w1_atoms_vs_grid(x, g, v, wv)
+        monkeypatch.setattr(metrics, "W1_CHUNK", 1)
+        assert np.array_equal(bits(metrics._w1_atoms_vs_grid(x, g, v, wv)), bits(whole))
+
+
+def reference_independence_gap(w, k, laws, grid, t_end, dt, master_seed, n_replicas,
+                               sigma=0.0, n_bootstrap=64):
+    """independence_gap as one w1 call per (agent, bootstrap draw)."""
+    scaling = check_scaling(w)
+    samples = integrate(w, k, laws.sample_replicas(master_seed, n_replicas), [t_end], dt,
+                        sigma, master_seed)[0, :, :, 0]
+    res = solve(laws.fibers(grid), w, k, nu=0.5 * sigma * sigma, t_end=t_end,
+                output_times=[t_end])
+    fibers = res.snapshots[0]
+    n = laws.n_agents
+    gaps = np.empty(n)
+    for i in range(n):
+        gaps[i] = w1(Law1D.from_atoms(samples[:, i]), Law1D.from_grid(grid, fibers.values[i]))
+    boot = np.empty(n_bootstrap)
+    brng = seeding.stream(master_seed, seeding.BOOTSTRAP)
+    for b in range(n_bootstrap):
+        counts = brng.multinomial(n_replicas, np.full(n_replicas, 1.0 / n_replicas))
+        wts = counts / n_replicas
+        keep = counts > 0
+        vals = np.empty(n)
+        for i in range(n):
+            vals[i] = w1(Law1D.from_atoms(samples[keep, i], wts[keep]),
+                         Law1D.from_grid(grid, fibers.values[i]))
+        boot[b] = vals.max()
+    bound = c1(t_end, scaling.max_row_abs_sum, k.w1inf_norm) * math.sqrt(scaling.max_entry_abs)
+    return GapReport(t=t_end, gap=float(gaps.max()), bound=bound,
+                     stderr=float(boot.std(ddof=1)), seeds=n_replicas, dx=grid.dx)
+
+
+def reference_meanfield_gap(w, k, laws, grid, times, dt, master_seed, n_seeds, sigma=0.0):
+    """meanfield_gap as one w1 call per (time, seed)."""
+    times = sorted(float(t) for t in times)
+    scaling = check_scaling(w)
+    traj = integrate(w, k, laws.sample_replicas(master_seed, n_seeds), times, dt, sigma,
+                     master_seed)
+    res = solve(laws.fibers(grid), w, k, nu=0.5 * sigma * sigma, t_end=times[-1],
+                output_times=times)
+    reports = []
+    for ti, t in enumerate(times):
+        grid_law = Law1D.from_grid(grid, marginal(res.snapshots[ti]))
+        vals = np.array([w1(Law1D.from_atoms(traj[ti, s, :, 0]), grid_law)
+                         for s in range(n_seeds)])
+        reports.append(GapReport(
+            t=t, gap=float(vals.mean()),
+            bound=c1(t, scaling.max_row_abs_sum, k.w1inf_norm) * math.sqrt(scaling.max_entry_abs),
+            stderr=float(vals.std(ddof=1) / math.sqrt(n_seeds)), seeds=n_seeds, dx=grid.dx))
+    return reports
+
+
+def forbid_per_call_w1(monkeypatch):
+    """The estimators must not fall back to one w1 call per (draw, row)."""
+    def fail(*args, **kwargs):
+        raise AssertionError("per-call W1 path used")
+    monkeypatch.setattr(metrics, "w1", fail)
+    monkeypatch.setattr(Law1D, "from_atoms", fail)
+    monkeypatch.setattr(Law1D, "from_grid", fail)
+
+
+GAP_CASES = {
+    # sigma = 0 on a line, symmetric identity class permutation
+    "line": lambda: (gen_class_permutation(16, 8, [1, 2]), linear_attraction(),
+                     AgentLawSpec.scatter(16, -0.5, 0.5, 0.2), Grid1D(-2.0, 2.0, 64), 0.0, 0.05),
+    # sigma > 0 on a torus, cycle class permutation
+    "torus": lambda: (gen_class_permutation(16, 4, [2, 3, 4, 1]), kuramoto(),
+                      AgentLawSpec.spread(16, 2.0, 4.0, 0.5),
+                      Grid1D(0.0, 2.0 * math.pi, 64, "torus"), 0.4, 0.02),
+}
+
+
+class TestEstimatorsBitwise:
+    @pytest.mark.parametrize("case", sorted(GAP_CASES))
+    def test_independence_gap_matches_per_call_reference(self, case, monkeypatch):
+        w, k, laws, grid, sigma, dt = GAP_CASES[case]()
+        args = (w, k, laws, grid, 0.2, dt, 11, 100, sigma, 12)
+        ref = reference_independence_gap(*args)
+        forbid_per_call_w1(monkeypatch)
+        assert report_bits([independence_gap(*args)]) == report_bits([ref])
+
+    @pytest.mark.parametrize("case", sorted(GAP_CASES))
+    def test_meanfield_gap_matches_per_call_reference(self, case, monkeypatch):
+        w, k, laws, grid, sigma, dt = GAP_CASES[case]()
+        args = (w, k, laws, grid, [0.2, 0.0, 0.1], dt, 5, 30, sigma)
+        ref = reference_meanfield_gap(*args)
+        forbid_per_call_w1(monkeypatch)
+        assert report_bits(meanfield_gap(*args)) == report_bits(ref)
+
+
+def corrupt_solve(monkeypatch, how):
+    """Make metrics.solve return fibers with a negative cell or a mass off
+    by more than MASS_TOL in every fiber."""
+    def bad_solve(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        snaps = []
+        for s in res.snapshots:
+            v = s.values.copy()
+            c = int(np.argmax(marginal(s)))
+            if how == "negative":
+                v[:, c + 1] += v[:, c] + 1e-3       # mass moved, not lost
+                v[:, c] = -1e-3
+            else:
+                v *= 1.0 + 100 * MASS_TOL
+            snaps.append(SimpleNamespace(values=v))
+        return SimpleNamespace(snapshots=snaps)
+    monkeypatch.setattr(metrics, "solve", bad_solve)
+
+
+class TestEstimatorGuards:
+    @pytest.mark.parametrize("how, match", [("negative", ">= 0"), ("mass", "mass")])
+    def test_independence_gap_rejects_bad_fiber(self, monkeypatch, how, match):
+        w, k, laws, grid, sigma, dt = GAP_CASES["line"]()
+        corrupt_solve(monkeypatch, how)
+        with pytest.raises(ValueError, match=match):
+            independence_gap(w, k, laws, grid, 0.1, dt, 3, 100, sigma, 4)
+
+    @pytest.mark.parametrize("how, match", [("negative", ">= 0"), ("mass", "mass")])
+    def test_meanfield_gap_rejects_bad_fiber(self, monkeypatch, how, match):
+        w, k, laws, grid, sigma, dt = GAP_CASES["torus"]()
+        corrupt_solve(monkeypatch, how)
+        with pytest.raises(ValueError, match=match):
+            meanfield_gap(w, k, laws, grid, [0.0, 0.1], dt, 3, 4, sigma)
 
 
 class TestConstants:

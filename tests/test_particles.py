@@ -154,6 +154,21 @@ class TestPairSymmetry:
         assert np.array_equal(integrate(w, k, x, [0.05, 0.1], 0.05, sigma, seed),
                               integrate(w, general, x, [0.05, 0.1], 0.05, sigma, seed))
 
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), n_rep=st.integers(1, 8),
+           symmetric=st.booleans(), odd=st.booleans(), name=st.sampled_from(sorted(ODD_KERNELS)))
+    def test_relabeling_equivariance(self, seed, n, n_rep, symmetric, odd, name):
+        # relabeling agents and weights together permutes the drift, on the
+        # pair path and the general path; only the CSR summation order changes
+        rng = np.random.default_rng(seed)
+        w = (random_symmetric_weights if symmetric else random_sparse_weights)(rng, n, 0.5)
+        k = dataclasses.replace(ODD_KERNELS[name](), odd=odd)
+        x = rng.uniform(0.0, 2 * math.pi, (n_rep, n, k.dim))
+        perm = rng.permutation(n)
+        a = drift_batch(w, k, x)[:, perm]
+        b = drift_batch(w.permuted(perm), k, x[:, perm])
+        assert np.abs(a - b).max(initial=0.0) <= 1e-12
+
     @pytest.mark.parametrize("where", [0, -1])
     def test_one_ulp_asymmetry_falls_back(self, rng, where):
         # perturb the first or the last off-diagonal entry by one ulp: the
