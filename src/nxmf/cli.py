@@ -5,7 +5,8 @@ package version and a sha256 digest per output file; the same config and
 seed always reproduce byte-identical files.  --threads has no effect on the
 computation: it is only recorded in the manifest, for provenance.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric guard violation.
+Exit codes: 0 success, 2 configuration error or other bad input (any
+ValueError), 3 numeric guard violation.
 """
 
 from __future__ import annotations
@@ -298,8 +299,8 @@ def main(argv=None) -> int:
     em = Emitter(out_dir)
     try:
         COMMANDS[args.command](cfg, em, seed)
-    except (ConfigError, LatticeBudgetError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ValueError, LatticeBudgetError) as exc:     # ConfigError is a ValueError
+        print(f"bad input: [{args.command}] {' '.join(str(exc).splitlines())}", file=sys.stderr)
         return 2
     except (CFLError, StabilityError) as exc:
         print(f"numeric guard: [{args.command}] {exc}", file=sys.stderr)

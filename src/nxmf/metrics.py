@@ -54,6 +54,8 @@ class Law1D:
             w = np.full(x.size, 1.0 / x.size)
         else:
             w = np.asarray(weights, dtype=np.float64).ravel()
+        if not (np.isfinite(x).all() and np.isfinite(w).all()):
+            raise ValueError("atom positions and weights must be finite")
         if np.any(w < 0):
             raise ValueError("atom weights must be >= 0")
         total = w.sum()
@@ -68,8 +70,8 @@ class Law1D:
         v = np.asarray(values, dtype=np.float64).ravel()
         if v.size != grid.n_cells:
             raise ValueError("values length must equal the cell count")
-        if np.any(v < 0):
-            raise ValueError("densities must be >= 0")
+        if not (v.min(initial=0.0) >= 0 and v.max(initial=0.0) < math.inf):
+            raise ValueError("densities must be finite and >= 0")
         mass = v.sum() * grid.dx
         if abs(mass - 1.0) > MASS_TOL:
             raise ValueError(f"total mass {mass} != 1")
@@ -134,14 +136,16 @@ def _w1_atoms_vs_grid(atoms, grid: Grid1D, densities, weights) -> np.ndarray:
     rows, m = x.shape
     if v.shape != (rows, grid.n_cells):
         raise ValueError("values length must equal the cell count")
-    if np.any(v < 0):
-        raise ValueError("densities must be >= 0")
+    if not (v.min(initial=0.0) >= 0 and v.max(initial=0.0) < math.inf):
+        raise ValueError("densities must be finite and >= 0")
+    if not np.isfinite(x).all():
+        raise ValueError("atom positions must be finite")
     mass = v.sum(axis=1) * grid.dx
     off = np.abs(mass - 1.0) > MASS_TOL
     if off.any():
         raise ValueError(f"total mass {mass[off][0]} != 1")
-    if np.any(wv < 0) or np.any(np.abs(wv.sum(axis=1) - 1.0) > MASS_TOL):
-        raise ValueError("atom weights must be >= 0 with total mass 1")
+    if not (np.all(wv >= 0) and np.all(np.abs(wv.sum(axis=1) - 1.0) <= MASS_TOL)):
+        raise ValueError("atom weights must be finite, >= 0 and of total mass 1")
     edges = grid.x_min + np.arange(grid.n_cells + 1) * grid.dx
     cdf = np.zeros((rows, edges.size))
     cdf[:, 1:] = np.cumsum(v, axis=1) * grid.dx

@@ -3,9 +3,10 @@
 Each fiber carries the law of one agent; the fibers are transported by a
 velocity field assembled in two stages: a convolution of each fiber with
 the interaction kernel, then the weight matrix acting across fibers.  The
-scheme is conservative first-order upwind finite volume with optional
-explicit centered diffusion: exact discrete mass is load-bearing for the
-observable machinery downstream, so it is preferred over formal order.
+scheme is conservative first-order upwind finite volume, followed in each
+step by backward Euler diffusion (so only advection limits dt): exact
+discrete mass is load-bearing for the observable machinery downstream, so
+it is preferred over formal order.
 
 Boundary treatment is a choice the continuum problem does not make for us:
 the torus wraps; the line uses zero inflow and accumulates advective
@@ -183,16 +184,11 @@ def velocity_bound(f: FiberedDensity, w: SparseWeights, k: Kernel) -> float:
     return check_scaling(w).max_row_abs_sum * k.sup_norm * float(f.masses().max())
 
 
-def cfl_limits(vmax: float, dx: float, nu: float) -> float:
-    """Largest admissible dt for the explicit scheme; 0 when vmax is not finite."""
+def cfl_limits(vmax: float, dx: float) -> float:
+    """Largest admissible dt for the upwind advection; 0 when vmax is not finite."""
     if not math.isfinite(vmax):
         return 0.0
-    dt = math.inf
-    if vmax > 0:
-        dt = min(dt, 0.4 * dx / vmax)
-    if nu > 0:
-        dt = min(dt, 0.25 * dx * dx / nu)
-    return dt
+    return 0.4 * dx / vmax if vmax > 0 else math.inf
 
 
 def _face_velocities(v: np.ndarray, topology: str) -> np.ndarray:
@@ -205,10 +201,22 @@ def _face_velocities(v: np.ndarray, topology: str) -> np.ndarray:
     return faces
 
 
+def _diffuse(vals: np.ndarray, g: Grid1D, c: float) -> np.ndarray:
+    """Solve (I - c*dx^2*L) u = vals per fiber, L the 3-point Laplacian:
+    periodic on the torus, no-flux on the line (as the torus of its
+    half-sample even extension, i.e. DCT-II).  rfft diagonalizes it; mode 0
+    is divided by exactly 1, and the M-matrix inverse is entrywise >= 0."""
+    if g.topology == "line":
+        vals = np.concatenate((vals, vals[:, ::-1]), axis=1)
+    n = vals.shape[1]
+    damp = 1.0 + 4.0 * c * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
+    return np.fft.irfft(np.fft.rfft(vals, axis=1) / damp, n=n, axis=1)[:, :g.n_cells]
+
+
 def step_transport(f: FiberedDensity, w: SparseWeights, k: Kernel, dt: float,
                    nu: float = 0.0, velocity_method: str = "fft",
                    vfield: VelocityFieldGrid | None = None) -> FiberedDensity:
-    """One conservative upwind step (plus explicit diffusion) for all fibers."""
+    """One step for all fibers: explicit upwind advection, then implicit diffusion."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if nu < 0:
@@ -218,7 +226,7 @@ def step_transport(f: FiberedDensity, w: SparseWeights, k: Kernel, dt: float,
     v = (vfield or velocity(f, w, k, method=velocity_method)).values
     faces = _face_velocities(v, g.topology)
     vmax = float(np.abs(faces).max()) if faces.size else 0.0
-    dt_ok = cfl_limits(vmax, dx, nu)
+    dt_ok = cfl_limits(vmax, dx)
     if dt > dt_ok * (1 + 1e-12):
         raise CFLError(f"dt={dt:g} violates CFL; admissible dt <= {dt_ok:g}")
 
@@ -229,9 +237,6 @@ def step_transport(f: FiberedDensity, w: SparseWeights, k: Kernel, dt: float,
     if g.topology == "torus":
         flux = up * vals + dn * np.roll(vals, -1, axis=1)
         div = flux - np.roll(flux, 1, axis=1)
-        if nu > 0:
-            dflux = nu * (np.roll(vals, -1, axis=1) - vals) / dx
-            div -= dflux - np.roll(dflux, 1, axis=1)
     else:
         flux = np.zeros((f.n_fibers, g.n_cells + 1))
         flux[:, 1:-1] = up[:, 1:-1] * vals[:, :-1] + dn[:, 1:-1] * vals[:, 1:]
@@ -239,14 +244,12 @@ def step_transport(f: FiberedDensity, w: SparseWeights, k: Kernel, dt: float,
         flux[:, 0] = dn[:, 0] * vals[:, 0]
         flux[:, -1] = up[:, -1] * vals[:, -1]
         leak = (-flux[:, 0] + flux[:, -1]) * dt
-        if nu > 0:
-            dflux = np.zeros_like(flux)
-            dflux[:, 1:-1] = nu * (vals[:, 1:] - vals[:, :-1]) / dx
-            flux = flux - dflux
         div = flux[:, 1:] - flux[:, :-1]
     new = vals - (dt / dx) * div
+    if nu > 0:
+        new = _diffuse(new, g, nu * dt / (dx * dx))
 
-    # conservation defect of this step, before clamping (roundoff only)
+    # conservation defect of this step, after diffusion, before clamping
     drift = float(np.abs((new.sum(axis=1) - vals.sum(axis=1)) * dx + leak).max())
 
     clamp = 0.0
@@ -280,8 +283,9 @@ def solve(f0: FiberedDensity, w: SparseWeights, k: Kernel, nu: float,
     """March to t_end, returning the completed-step states nearest each
     requested output time.
 
-    dt is auto-selected from the CFL bounds with a safety factor unless
-    given explicitly (then it is validated each step).
+    dt is auto-selected from the advective CFL bound with a safety factor
+    unless given explicitly (then it is validated each step); with no
+    advection and nu > 0 the bound is the cell diffusion time 0.25*dx^2/nu.
     """
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
@@ -300,7 +304,7 @@ def solve(f0: FiberedDensity, w: SparseWeights, k: Kernel, nu: float,
     while state.time < t_end - 1e-12:
         vf = velocity(state, w, k, method=velocity_method)
         vmax = float(np.abs(_face_velocities(vf.values, f0.grid.topology)).max())
-        limit = cfl_limits(vmax, f0.grid.dx, nu)
+        limit = cfl_limits(vmax, f0.grid.dx) if vmax != 0 or nu <= 0 else 0.25 * f0.grid.dx**2 / nu
         if limit == 0.0:
             raise CFLError(f"non-finite velocity at t={state.time:g}; no admissible dt")
         step_dt = dt if dt is not None else (safety * limit if math.isfinite(limit) else t_end - state.time)

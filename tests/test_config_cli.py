@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from nxmf import cli
 from nxmf.cli import main
 from nxmf.config import ConfigError, ExperimentConfig, canonical_json
 
@@ -203,6 +204,28 @@ class TestCli:
         assert main(["convergence", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert "numeric guard" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "solve", "observe", "rearrange", "convergence"])
+    def test_value_error_exit_code(self, command, config_file, tmp_path, monkeypatch, capsys):
+        def fail(cfg, em, seed):
+            raise ValueError("rejected value\nsecond line")
+
+        monkeypatch.setitem(cli.COMMANDS, command, fail)
+        assert main([command, "--config", str(config_file), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"bad input: [{command}] rejected value second line"]
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    def test_value_error_from_real_input(self, tmp_path, capsys):
+        # repeated snapshot times pass config validation, then the hierarchy
+        # residuals reject them
+        doc = copy.deepcopy(GOLDEN)
+        doc["time"] = {"t_end": 1.0, "snapshots": [0.0, 0.5, 0.5, 1.0], "dt": 0.02}
+        path = tmp_path / "repeat.json"
+        path.write_text(json.dumps(doc))
+        assert main(["observe", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["bad input: [observe] snapshots must be strictly increasing in time"]
 
     def test_determinism_across_threads(self, config_file, tmp_path):
         outs = []

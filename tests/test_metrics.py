@@ -121,6 +121,20 @@ class TestW1:
         with pytest.raises(ValueError, match="mass"):
             Law1D.from_grid(g, np.full(8, 2.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        v = np.full(8, 1.0)
+        v[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Law1D.from_grid(Grid1D(0, 1, 8), v)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_atoms_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Law1D.from_atoms([0.0, 0.5], [bad, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            Law1D.from_atoms([bad, 0.5])
+
 
 def bits(a):
     """The IEEE bit patterns of a float array, for bitwise comparison."""
@@ -174,6 +188,17 @@ class TestBatchedW1:
         whole = metrics._w1_atoms_vs_grid(x, g, v, wv)
         monkeypatch.setattr(metrics, "W1_CHUNK", 1)
         assert np.array_equal(bits(metrics._w1_atoms_vs_grid(x, g, v, wv)), bits(whole))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["density", "atom", "weight"])
+    def test_non_finite_rejected(self, rng, bad, where):
+        g = Grid1D(-2.0, 2.0, 16)
+        x = rng.standard_normal((3, 4))
+        v = gaussian_fibers(g, [0.0, 0.5, -0.5], [0.5, 0.5, 0.5]).values
+        wv = np.full((2, 4), 0.25)
+        {"density": v, "atom": x, "weight": wv}[where][1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            metrics._w1_atoms_vs_grid(x, g, v, wv)
 
 
 def reference_independence_gap(w, k, laws, grid, t_end, dt, master_seed, n_replicas,

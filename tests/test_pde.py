@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nxmf import (
     CFLError,
@@ -25,6 +26,15 @@ from conftest import pure_linear_kernel, random_fibers, random_sparse_weights
 
 def empty_weights(n):
     return SparseWeights(n, [], [], [])
+
+
+def dense_no_flux_backward_euler(vals, c):
+    """Reference: backward Euler for the 3-point Laplacian with no-flux walls,
+    (I - c*T) u = vals with T the dense tridiagonal second difference (dx = 1)."""
+    G = vals.shape[1]
+    t = np.diag(np.full(G - 1, 1.0), 1) + np.diag(np.full(G - 1, 1.0), -1) - 2.0 * np.eye(G)
+    t[0, 0] = t[-1, -1] = -1.0
+    return np.linalg.solve(np.eye(G) - c * t, vals.T).T
 
 
 class TestVelocity:
@@ -87,11 +97,15 @@ class TestStepTransport:
         out = step_transport(f, empty_weights(4), linear_attraction(), dt=0.01)
         assert np.array_equal(out.values, f.values)
 
-    def test_pure_diffusion_mass_and_variance(self):
+    @staticmethod
+    def check_pure_diffusion(step_factor, n_steps):
+        """One Gaussian fiber on a torus, stepped at step_factor times the old
+        explicit limit 0.25*dx^2/nu: mass within 1e-13 after every step, and
+        variance growth rate 2*nu within 5%."""
         g = Grid1D(-8, 8, 256, topology="torus")
         f = gaussian_fibers(g, [0.0], [0.5])
         nu = 0.05
-        dt = 0.9 * 0.25 * g.dx**2 / nu
+        dt = step_factor * 0.25 * g.dx**2 / nu
         x = g.centers()
 
         def variance(ff):
@@ -101,11 +115,80 @@ class TestStepTransport:
         v0 = variance(f)
         m0 = f.masses()[0]
         state = f
-        for _ in range(100):
+        for _ in range(n_steps):
             state = step_transport(state, empty_weights(1), linear_attraction(), dt, nu=nu)
             assert abs(state.masses()[0] - m0) <= 1e-13
         rate = (variance(state) - v0) / (state.time - f.time)
         assert abs(rate - 2 * nu) <= 0.05 * 2 * nu
+
+    def test_pure_diffusion_mass_and_variance(self):
+        self.check_pure_diffusion(0.9, 100)
+
+    def test_pure_diffusion_at_fifty_times_the_explicit_limit(self):
+        self.check_pure_diffusion(50, 10)
+
+    @pytest.mark.parametrize("topology", ["line", "torus"])
+    def test_implicit_diffusion_conserves_mass_at_large_steps(self, rng, topology):
+        span = (0.0, 2 * math.pi) if topology == "torus" else (-6.0, 6.0)
+        g = Grid1D(span[0], span[1], 96, topology=topology)
+        k = kuramoto() if topology == "torus" else linear_attraction()
+        f = random_fibers(rng, g, 5)
+        w = random_sparse_weights(rng, 5)
+        state = f
+        for _ in range(20):
+            vmax = np.abs(velocity(state, w, k).values).max()
+            dt = 0.9 * 0.4 * g.dx / max(vmax, 1e-12)
+            nu = 50 * g.dx**2 / dt
+            prev = state
+            state = step_transport(state, w, k, dt, nu=nu)
+            assert state.last_mass_drift <= 1e-12
+            step = state.masses() + state.leakage - prev.masses() - prev.leakage
+            assert np.abs(step).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), topology=st.sampled_from(["line", "torus"]),
+           log_c=st.floats(-3.0, 4.0), sparsity=st.floats(0.0, 0.95))
+    def test_implicit_diffusion_positivity(self, seed, topology, log_c, sparsity):
+        r = np.random.default_rng(seed)
+        g = Grid1D(0.0, 1.0, int(r.integers(8, 200)), topology=topology)
+        vals = r.exponential(size=(3, g.n_cells)) * 10.0 ** r.uniform(-3, 3, size=(3, 1))
+        vals[r.random(vals.shape) < sparsity] = 0.0
+        f = FiberedDensity(grid=g, values=vals)
+        dt = 1e-3
+        nu = 10.0**log_c * g.dx**2 / dt
+        out = step_transport(f, empty_weights(3), linear_attraction(), dt, nu=nu)
+        assert out.clamp_total <= 1e-14 * max(float(f.masses().sum()), 1e-300)
+        assert out.last_mass_drift <= 1e-13 * max(float(f.masses().max()), 1e-300)
+
+    def test_implicit_diffusion_first_order_in_dt(self):
+        # one torus Fourier mode against the exact semi-discrete heat
+        # semigroup exp(-nu * lambda_k * t)
+        G, mode, nu, t_end = 64, 3, 0.1, 1.0
+        g = Grid1D(0.0, 2 * math.pi, G, topology="torus")
+        x = g.centers()
+        f = FiberedDensity(grid=g, values=(1.0 + 0.5 * np.cos(mode * x))[None, :])
+        lam = 4.0 / g.dx**2 * math.sin(math.pi * mode / G) ** 2
+        exact = 1.0 + 0.5 * math.exp(-nu * lam * t_end) * np.cos(mode * x)
+
+        def error(n_steps):
+            state = f
+            for _ in range(n_steps):
+                state = step_transport(state, empty_weights(1), linear_attraction(),
+                                       t_end / n_steps, nu=nu)
+            return np.abs(state.values[0] - exact).max()
+
+        e = [error(n) for n in (10, 20, 40)]
+        for coarse, fine in zip(e, e[1:]):
+            assert 1.8 <= coarse / fine <= 2.2
+
+    def test_line_diffusion_matches_dense_tridiagonal_solve(self, rng):
+        g = Grid1D(-3, 3, 48)
+        f = FiberedDensity(grid=g, values=rng.random((4, 48)))
+        for c in (0.1, 3.0, 200.0):
+            nu, dt = c * g.dx**2 / 0.01, 0.01
+            out = step_transport(f, empty_weights(4), linear_attraction(), dt, nu=nu)
+            ref = dense_no_flux_backward_euler(f.values, c)
+            assert np.abs(out.values - ref).max() <= 1e-12
 
     def test_exchangeable_fibers_stay_identical(self):
         g = Grid1D(-6, 6, 96)
@@ -174,6 +257,14 @@ class TestSolve:
         f = random_fibers(rng, g, 3)
         res = solve(f, empty_weights(3), linear_attraction(), nu=0.0, t_end=0.0, output_times=[0.0])
         assert res.snapshots == [f]
+
+    def test_pure_diffusion_takes_more_than_one_step(self):
+        g = Grid1D(-3, 3, 32)
+        f = gaussian_fibers(g, [0.0, 0.5], [0.5, 0.5])
+        res = solve(f, empty_weights(2), linear_attraction(), nu=0.05, t_end=1.0,
+                    output_times=[1.0])
+        assert res.n_steps > 1
+        assert res.max_step_mass_drift <= 1e-12
 
     def test_non_finite_velocity_is_cfl_error(self):
         g = Grid1D(-3, 3, 32)
