@@ -21,26 +21,15 @@ from .observables import (
     tau_density,
     tree_to_transform,
 )
-from .particles import (
-    EmpiricalMeasure,
-    ParticleState,
-    StabilityError,
-    drift,
-    empirical,
-    integrate,
-    mckean_drift,
-    step_mckean,
-)
+from .particles import StabilityError, integrate
 from .pde import (
     CFLError,
     FiberedDensity,
     Grid1D,
     SolveResult,
-    VelocityFieldGrid,
     gaussian_fibers,
     marginal,
     solve,
-    step_transport,
     velocity,
 )
 from .rearrange import CellFunctions, RearrangementMap, build_phi, modulus, rearrange_pair

@@ -5,8 +5,9 @@ package version and a sha256 digest per output file; the same config and
 seed always reproduce byte-identical files.  --threads has no effect on the
 computation: it is only recorded in the manifest, for provenance.
 
-Exit codes: 0 success, 2 configuration error or other bad input (any
-ValueError), 3 numeric guard violation.
+Exit codes: 0 success, 2 configuration error, an output directory that
+cannot be created or other bad input (any ValueError), 3 numeric guard
+violation.
 """
 
 from __future__ import annotations
@@ -287,16 +288,12 @@ def main(argv=None) -> int:
         cfg = ExperimentConfig.from_file(args.config)
         if args.threads is not None and args.threads < 1:
             raise ConfigError("threads", "must be >= 1")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        em = Emitter(Path(args.out) if args.out else Path(cfg.out_dir))
+    except (ConfigError, OSError) as exc:     # OSError: unreadable config or output directory
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     seed = args.seed if args.seed is not None else cfg.seed
     threads = args.threads if args.threads is not None else cfg.threads
-    out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
-    em = Emitter(out_dir)
     try:
         COMMANDS[args.command](cfg, em, seed)
     except (ValueError, LatticeBudgetError) as exc:     # ConfigError is a ValueError

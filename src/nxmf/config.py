@@ -199,6 +199,8 @@ class ExperimentConfig:
                 raise ConfigError(f"time.snapshots[{i}]", "must be a number")
             if s < 0 or s > t_end:
                 raise ConfigError(f"time.snapshots[{i}]", "must lie in [0, t_end]")
+        if len(set(snaps)) < len(snaps):
+            raise ConfigError("time.snapshots", "must not repeat a time")
         if "dt" in tm and _number(tm, "dt", "time", lo=0.0) <= 0:
             raise ConfigError("time.dt", "must be > 0")
 

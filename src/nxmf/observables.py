@@ -462,7 +462,7 @@ def hierarchy_residual(t: LabeledTree, w: SparseWeights, f_series, k: Kernel,
     c2 = h1 / (h2 * (h1 + h2))
     r = c0 * tau0 + c1 * tau1 + c2 * tau2
 
-    vel = velocity(f1, w, k).values
+    vel = velocity(f1, w, k)
     for i in range(1, t.order + 1):
         grown = tau(t, w, f1, vertex_factors={i: vel}, budget=budget).values
         r = r + _central_diff(grown, axis=i - 1, dx=grid.dx, periodic=periodic)
@@ -491,7 +491,7 @@ def marginal_equation_residual(f_series, w: SparseWeights, k: Kernel,
     c2 = h1 / (h2 * (h1 + h2))
     m0, m1, m2 = (s.values.mean(axis=0) for s in (f0, f1, f2))
     r = c0 * m0 + c1 * m1 + c2 * m2
-    vel = velocity(f1, w, k).values
+    vel = velocity(f1, w, k)
     flux = (f1.values * vel).mean(axis=0)
     r = r + _central_diff(flux, axis=0, dx=grid.dx, periodic=periodic)
     if nu > 0:

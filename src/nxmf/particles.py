@@ -1,16 +1,14 @@
 """Finite-N agent dynamics.
 
 Integrates dX_i = sum_j w_ij K(X_i - X_j) dt (+ optional self dynamics)
-+ sigma dB_i for a batch of replicas with one explicit integrator, and the
-frozen-law variant where each agent is driven by prescribed per-agent laws
-on a grid instead of the other agents' positions.  Drift evaluation
-traverses stored weight entries only, so the cost is O(nnz).
++ sigma dB_i for a batch of replicas with one explicit integrator,
+`integrate`.  Drift evaluation traverses stored weight entries only, so the
+cost is O(nnz).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -27,43 +25,6 @@ CHUNK = 64
 
 class StabilityError(RuntimeError):
     """Explicit step rejected by the stability guard, or a non-finite state."""
-
-
-@dataclass(frozen=True)
-class ParticleState:
-    positions: np.ndarray      # (N, d)
-    time: float = 0.0
-
-    def __post_init__(self):
-        p = np.asarray(self.positions, dtype=np.float64)
-        if p.ndim != 2:
-            raise ValueError("positions must have shape (N, d)")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("positions must be finite")
-        object.__setattr__(self, "positions", p)
-
-    @property
-    def n_agents(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.positions.shape[1]
-
-
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Uniform atoms, one per agent; total mass 1."""
-
-    atoms: np.ndarray          # (N, d)
-
-    @property
-    def weight(self) -> float:
-        return 1.0 / self.atoms.shape[0]
-
-
-def empirical(x: ParticleState) -> EmpiricalMeasure:
-    return EmpiricalMeasure(atoms=x.positions.copy())
 
 
 def _wrap(positions: np.ndarray, k: Kernel) -> np.ndarray:
@@ -115,16 +76,6 @@ def _drift_scratch(w, k, n_rep, d):
     """Buffers for drift_batch on n_rep replicas of dimension d."""
     n_eval = _drift_plan(w, k).rows.size
     return np.empty((n_eval, n_rep, d)), np.empty((n_eval, n_rep, d))
-
-
-def drift(w: SparseWeights, k: Kernel, x: ParticleState) -> np.ndarray:
-    """Interaction drift sum_j w_ij K(x_i - x_j) of one state: drift_batch
-    on a single replica, after checking that w, k and x agree."""
-    if w.n_agents != x.n_agents:
-        raise ValueError("weights and state disagree on the number of agents")
-    if k.dim != x.dim:
-        raise ValueError(f"kernel dimension {k.dim} != state dimension {x.dim}")
-    return drift_batch(w, k, x.positions[None])[0]
 
 
 def drift_batch(w, k, positions, scratch=None):
@@ -238,37 +189,3 @@ def integrate(w: SparseWeights, k: Kernel, x0, times, dt: float, sigma: float = 
             out[ti, lo:lo + CHUNK] = pos
     return out
 
-
-def mckean_drift(w, k, x: ParticleState, laws) -> np.ndarray:
-    """Drift against frozen per-agent laws on a 1-D grid.
-
-    drift_i = sum_j w_ij * integral K(x_i - y) f_j(y) dy, the nonlinear
-    system each agent would follow if all others were replaced by their
-    laws; the integral is midpoint quadrature on the law grid.
-    """
-    if k.dim != 1 or x.dim != 1:
-        raise ValueError("frozen-law drift is implemented for d = 1 only")
-    if laws.n_fibers != x.n_agents:
-        raise ValueError("laws must supply one fiber per agent")
-    centers = laws.grid.centers()
-    mixed = w.csr() @ laws.values                      # (N, G): per-agent law mix
-    kmat = k.eval((x.positions[:, 0][:, None] - centers[None, :])[..., None])[..., 0]
-    vals = np.einsum("ig,ig->i", kmat, mixed) * laws.grid.dx
-    return vals[:, None]
-
-
-def step_mckean(w, k, x: ParticleState, laws, dt: float, sigma: float = 0.0,
-                rng=None) -> ParticleState:
-    """Euler-Maruyama step of the frozen-law system."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    _check_guard(w, k, dt)
-    total = mckean_drift(w, k, x, laws)
-    if k.self_drift is not None:
-        total = total + k.self_drift(x.positions)
-    new = x.positions + dt * total
-    if sigma > 0:
-        if rng is None:
-            raise ValueError("sigma > 0 requires an rng")
-        new = new + sigma * math.sqrt(dt) * rng.standard_normal(x.positions.shape)
-    return ParticleState(_wrap(new, k), x.time + dt)

@@ -6,7 +6,9 @@ the interaction kernel, then the weight matrix acting across fibers.  The
 scheme is conservative first-order upwind finite volume, followed in each
 step by backward Euler diffusion (so only advection limits dt): exact
 discrete mass is load-bearing for the observable machinery downstream, so
-it is preferred over formal order.
+it is preferred over formal order.  `solve` is the one transport entry
+point; `velocity` evaluates the same field on a given density (the
+hierarchy residuals use it).
 
 Boundary treatment is a choice the continuum problem does not make for us:
 the torus wraps; the line uses zero inflow and accumulates advective
@@ -22,6 +24,10 @@ import numpy as np
 
 from .kernels import Kernel
 from .weights import SparseWeights, check_scaling, kernel_apply
+
+
+# fraction of the advective CFL limit an automatically chosen step takes
+SAFETY = 0.9
 
 
 class CFLError(RuntimeError):
@@ -70,7 +76,6 @@ class FiberedDensity:
     initial_mass: np.ndarray | None = None
     leakage: np.ndarray | None = None
     clamp_total: float = 0.0
-    last_mass_drift: float = 0.0        # per-step conservation defect, diagnostics only
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -94,11 +99,6 @@ class FiberedDensity:
     def mass_defect(self) -> np.ndarray:
         """Current + leaked mass minus initial mass, per fiber."""
         return self.masses() + self.leakage - self.initial_mass
-
-
-@dataclass(frozen=True)
-class VelocityFieldGrid:
-    values: np.ndarray                  # (n_fibers, G)
 
 
 def gaussian_fibers(grid: Grid1D, means, stds, weights=None) -> FiberedDensity:
@@ -132,51 +132,55 @@ def _kernel_samples(k: Kernel, offsets: np.ndarray) -> np.ndarray:
     return np.asarray(k.eval(offsets[:, None])[:, 0], dtype=np.float64)
 
 
-def fiber_convolution(f: FiberedDensity, k: Kernel, method: str = "fft") -> np.ndarray:
-    """phi(x, zeta) = integral K(x - y) f(y, zeta) dy by midpoint quadrature.
-
-    Direct evaluation is O(G^2) per fiber; the FFT route is O(G log G) and
-    agrees with it to roundoff.  On the torus the offsets wrap to the
-    nearest image; on the line the convolution is linear with zero padding.
-    """
-    g = f.grid
+def _spectrum(g: Grid1D, k: Kernel) -> np.ndarray:
+    """rfft of K sampled at the cell offsets the convolution needs: wrapped
+    to the nearest image on the torus; -(G-1) dx .. (G-1) dx, zero-padded
+    to 2G, on the line."""
     G = g.n_cells
     dx = g.dx
-    if method == "auto":
-        method = "fft" if G >= 32 else "direct"
     if g.topology == "torus":
         off = np.arange(G) * dx
         off = np.where(off > g.length / 2, off - g.length, off)
-        kvec = _kernel_samples(k, off)
-        if method == "direct":
-            idx = (np.arange(G)[:, None] - np.arange(G)[None, :]) % G
-            return (f.values @ kvec[idx].T) * dx
-        fh = np.fft.rfft(f.values, axis=1)
-        kh = np.fft.rfft(kvec)
-        return np.fft.irfft(fh * kh[None, :], n=G, axis=1) * dx
-    # line: offsets from -(G-1) dx to (G-1) dx
+        return np.fft.rfft(_kernel_samples(k, off))
     off = np.arange(-(G - 1), G) * dx
-    kvec = _kernel_samples(k, off)
-    if method == "direct":
-        idx = np.arange(G)[:, None] - np.arange(G)[None, :] + (G - 1)
-        return (f.values @ kvec[idx].T) * dx
+    return np.fft.rfft(_kernel_samples(k, off), n=2 * G)
+
+
+def _convolve(vals: np.ndarray, g: Grid1D, kh: np.ndarray) -> np.ndarray:
+    """Each row of vals convolved with the kernel of spectrum kh (from
+    _spectrum on the same grid): circular on the torus, linear on the line."""
+    G = g.n_cells
+    if g.topology == "torus":
+        fh = np.fft.rfft(vals, axis=1)
+        return np.fft.irfft(fh * kh[None, :], n=G, axis=1) * g.dx
     n_pad = 2 * G
-    fh = np.fft.rfft(f.values, n=n_pad, axis=1)
-    kh = np.fft.rfft(kvec, n=n_pad)
+    fh = np.fft.rfft(vals, n=n_pad, axis=1)
     full = np.fft.irfft(fh * kh[None, :], n=n_pad, axis=1)
-    return full[:, G - 1 : 2 * G - 1] * dx
+    return full[:, G - 1 : 2 * G - 1] * g.dx
 
 
-def velocity(f: FiberedDensity, w: SparseWeights, k: Kernel,
-             method: str = "fft") -> VelocityFieldGrid:
-    """Velocity of fiber xi: the weight matrix applied across fibers to the
-    per-fiber kernel convolutions."""
-    if w.n_agents != f.n_fibers:
-        raise ValueError(f"{w.n_agents} weight rows for {f.n_fibers} fibers")
+def fiber_convolution(f: FiberedDensity, k: Kernel) -> np.ndarray:
+    """phi(x, zeta) = integral K(x - y) f(y, zeta) dy by midpoint quadrature,
+    through the FFT in O(G log G) per fiber.
+
+    On the torus the offsets wrap to the nearest image; on the line the
+    convolution is linear with zero padding.
+    """
+    return _convolve(f.values, f.grid, _spectrum(f.grid, k))
+
+
+def _check_operands(n_fibers: int, w: SparseWeights, k: Kernel):
+    if w.n_agents != n_fibers:
+        raise ValueError(f"{w.n_agents} weight rows for {n_fibers} fibers")
     if k.dim != 1:
         raise ValueError("grid transport is 1-D")
-    phi = fiber_convolution(f, k, method=method)
-    return VelocityFieldGrid(values=kernel_apply(w, phi, side="row"))
+
+
+def velocity(f: FiberedDensity, w: SparseWeights, k: Kernel) -> np.ndarray:
+    """Velocity of every fiber on the cells, shape (n_fibers, G): the weight
+    matrix applied across fibers to the per-fiber kernel convolutions."""
+    _check_operands(f.n_fibers, w, k)
+    return kernel_apply(w, fiber_convolution(f, k), side="row")
 
 
 def velocity_bound(f: FiberedDensity, w: SparseWeights, k: Kernel) -> float:
@@ -213,32 +217,23 @@ def _diffuse(vals: np.ndarray, g: Grid1D, c: float) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(vals, axis=1) / damp, n=n, axis=1)[:, :g.n_cells]
 
 
-def step_transport(f: FiberedDensity, w: SparseWeights, k: Kernel, dt: float,
-                   nu: float = 0.0, velocity_method: str = "fft",
-                   vfield: VelocityFieldGrid | None = None) -> FiberedDensity:
-    """One step for all fibers: explicit upwind advection, then implicit diffusion."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if nu < 0:
-        raise ValueError("nu must be >= 0")
-    g = f.grid
-    dx = g.dx
-    v = (vfield or velocity(f, w, k, method=velocity_method)).values
-    faces = _face_velocities(v, g.topology)
-    vmax = float(np.abs(faces).max()) if faces.size else 0.0
-    dt_ok = cfl_limits(vmax, dx)
-    if dt > dt_ok * (1 + 1e-12):
-        raise CFLError(f"dt={dt:g} violates CFL; admissible dt <= {dt_ok:g}")
+def _step(vals: np.ndarray, faces: np.ndarray, g: Grid1D, dt: float, nu: float):
+    """One step for all fibers: explicit upwind advection with the given face
+    velocities, then implicit diffusion.
 
-    vals = f.values
+    Returns the new values with roundoff negatives clamped to zero, the
+    advective outflow per fiber (line only), the clamped mass, and the
+    step's conservation defect, measured after diffusion and before clamping.
+    """
+    dx = g.dx
     up = np.maximum(faces, 0.0)
     dn = np.minimum(faces, 0.0)
-    leak = np.zeros(f.n_fibers)
+    leak = np.zeros(vals.shape[0])
     if g.topology == "torus":
         flux = up * vals + dn * np.roll(vals, -1, axis=1)
         div = flux - np.roll(flux, 1, axis=1)
     else:
-        flux = np.zeros((f.n_fibers, g.n_cells + 1))
+        flux = np.zeros((vals.shape[0], g.n_cells + 1))
         flux[:, 1:-1] = up[:, 1:-1] * vals[:, :-1] + dn[:, 1:-1] * vals[:, 1:]
         # zero inflow at both ends; outflow feeds the leakage ledger
         flux[:, 0] = dn[:, 0] * vals[:, 0]
@@ -248,85 +243,93 @@ def step_transport(f: FiberedDensity, w: SparseWeights, k: Kernel, dt: float,
     new = vals - (dt / dx) * div
     if nu > 0:
         new = _diffuse(new, g, nu * dt / (dx * dx))
-
-    # conservation defect of this step, after diffusion, before clamping
-    drift = float(np.abs((new.sum(axis=1) - vals.sum(axis=1)) * dx + leak).max())
-
+    defect = float(np.abs((new.sum(axis=1) - vals.sum(axis=1)) * dx + leak).max())
     clamp = 0.0
     neg = new < 0.0
     if neg.any():
         clamp = float(-new[neg].sum()) * dx
         new = np.where(neg, 0.0, new)
-    return FiberedDensity(
-        grid=g,
-        values=new,
-        time=f.time + dt,
-        initial_mass=f.initial_mass,
-        leakage=f.leakage + leak,
-        clamp_total=f.clamp_total + clamp,
-        last_mass_drift=drift,
-    )
+    return new, leak, clamp, defect
 
 
 @dataclass
 class SolveResult:
     snapshots: list                  # FiberedDensity at the requested times
-    snapshot_times: list             # actual completed-step times used
     n_steps: int
     max_step_mass_drift: float       # largest per-fiber |mass change - ledger| per step
     final: FiberedDensity = field(repr=False, default=None)
 
 
 def solve(f0: FiberedDensity, w: SparseWeights, k: Kernel, nu: float,
-          t_end: float, output_times, dt: float | None = None,
-          velocity_method: str = "fft", safety: float = 0.9) -> SolveResult:
+          t_end: float, output_times, dt: float | None = None) -> SolveResult:
     """March to t_end, returning the completed-step states nearest each
     requested output time.
 
-    dt is auto-selected from the advective CFL bound with a safety factor
-    unless given explicitly (then it is validated each step); with no
-    advection and nu > 0 the bound is the cell diffusion time 0.25*dx^2/nu.
+    dt is auto-selected as SAFETY times the advective CFL bound unless given
+    explicitly (then it is validated each step); with no advection and
+    nu > 0 the bound is the cell diffusion time 0.25*dx^2/nu.  The march
+    works on raw arrays; the kernel spectrum is computed once per call, the
+    velocity once per step, and a FiberedDensity (validated) is built only
+    for the returned states.
     """
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
+    if dt is not None and not dt > 0:
+        raise ValueError("dt must be positive")
+    if not nu >= 0:
+        raise ValueError("nu must be >= 0")
+    _check_operands(f0.n_fibers, w, k)
     targets = sorted(float(t) for t in output_times)
     if any(t < 0 or t > t_end + 1e-12 for t in targets):
         raise ValueError("output times must lie in [0, t_end]")
-    state = f0
+    g = f0.grid
+    dx = g.dx
+
+    def density(vals, time, leakage, clamp_total):
+        return FiberedDensity(grid=g, values=vals, time=time, initial_mass=f0.initial_mass,
+                              leakage=leakage, clamp_total=clamp_total)
+
     snaps: dict[int, FiberedDensity] = {}
     pending = list(range(len(targets)))
     for idx in list(pending):
         if targets[idx] <= 0 or t_end == 0:
-            snaps[idx] = state
+            snaps[idx] = f0
             pending.remove(idx)
+    kh = _spectrum(g, k)
+    state = (f0.values, f0.time, f0.leakage, f0.clamp_total)
     max_drift = 0.0
     n_steps = 0
-    while state.time < t_end - 1e-12:
-        vf = velocity(state, w, k, method=velocity_method)
-        vmax = float(np.abs(_face_velocities(vf.values, f0.grid.topology)).max())
-        limit = cfl_limits(vmax, f0.grid.dx) if vmax != 0 or nu <= 0 else 0.25 * f0.grid.dx**2 / nu
-        if limit == 0.0:
-            raise CFLError(f"non-finite velocity at t={state.time:g}; no admissible dt")
-        step_dt = dt if dt is not None else (safety * limit if math.isfinite(limit) else t_end - state.time)
-        step_dt = min(step_dt, t_end - state.time)
+    while state[1] < t_end - 1e-12:
         prev = state
-        state = step_transport(prev, w, k, step_dt, nu=nu, vfield=vf)
-        max_drift = max(max_drift, state.last_mass_drift)
+        vals, time, leakage, clamp_total = prev
+        faces = _face_velocities(kernel_apply(w, _convolve(vals, g, kh), side="row"), g.topology)
+        vmax = float(np.abs(faces).max())
+        dt_ok = cfl_limits(vmax, dx)
+        limit = dt_ok if vmax != 0 or nu <= 0 else 0.25 * dx**2 / nu
+        if limit == 0.0:
+            raise CFLError(f"non-finite velocity at t={time:g}; no admissible dt")
+        step_dt = dt if dt is not None else (SAFETY * limit if math.isfinite(limit) else t_end - time)
+        step_dt = min(step_dt, t_end - time)
+        if step_dt > dt_ok * (1 + 1e-12):
+            raise CFLError(f"dt={step_dt:g} violates CFL; admissible dt <= {dt_ok:g}")
+        new, leak, clamp, defect = _step(vals, faces, g, step_dt, nu)
+        state = (new, time + step_dt, leakage + leak, clamp_total + clamp)
+        max_drift = max(max_drift, defect)
         n_steps += 1
         for idx in list(pending):
             tgt = targets[idx]
-            if state.time >= tgt - 1e-12:
-                snaps[idx] = state if abs(state.time - tgt) <= abs(prev.time - tgt) else prev
+            if state[1] >= tgt - 1e-12:
+                nearest = state if abs(state[1] - tgt) <= abs(time - tgt) else prev
+                snaps[idx] = density(*nearest)
                 pending.remove(idx)
+    final = density(*state)
     for idx in pending:                  # targets at/after the final time
-        snaps[idx] = state
-    ordered = [snaps[i] for i in range(len(targets))]
+        snaps[idx] = final
     return SolveResult(
-        snapshots=ordered,
-        snapshot_times=[s.time for s in ordered],
+        snapshots=[snaps[i] for i in range(len(targets))],
         n_steps=n_steps,
         max_step_mass_drift=max_drift,
-        final=state,
+        final=final,
     )
 
 

@@ -83,6 +83,7 @@ BAD_MUTATIONS = [
     ("time.snapshots", [0.2]),      # beyond t_end
     ("time.snapshots", [-0.1]),
     ("time.snapshots", ["now"]),
+    ("time.snapshots", [0.0, 0.05, 0.05, 0.1]),     # a repeated time
     ("time.dt", 0.0),
     ("time.dt", -0.5),
     ("nu", -0.1),
@@ -217,15 +218,26 @@ class TestCli:
         assert not (tmp_path / "o" / "manifest.json").exists()
 
     def test_value_error_from_real_input(self, tmp_path, capsys):
-        # repeated snapshot times pass config validation, then the hierarchy
-        # residuals reject them
+        # n_max = 4 passes config validation, then the order-4 lattice
+        # (8 fibers x 64^4 cells) exceeds the evaluation budget
         doc = copy.deepcopy(GOLDEN)
-        doc["time"] = {"t_end": 1.0, "snapshots": [0.0, 0.5, 0.5, 1.0], "dt": 0.02}
-        path = tmp_path / "repeat.json"
+        doc["observables"] = {"n_max": 4, "lambda": 1.0}
+        path = tmp_path / "big.json"
         path.write_text(json.dumps(doc))
         assert main(["observe", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert err.splitlines() == ["bad input: [observe] snapshots must be strictly increasing in time"]
+        assert len(err.splitlines()) == 1
+        assert err.startswith("bad input: [observe] lattice evaluation needs 134217728 entries")
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    def test_uncreatable_out_dir_exit_code(self, config_file, tmp_path, capsys):
+        # --out below a regular file cannot be created
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "sub"
+        assert main(["rearrange", "--config", str(config_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error:") and str(out) in err
 
     def test_determinism_across_threads(self, config_file, tmp_path):
         outs = []

@@ -7,25 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nxmf import (
-    Grid1D,
-    ParticleState,
     StabilityError,
-    drift,
-    empirical,
-    gaussian_fibers,
     gen_class_permutation,
     gen_uniform,
     hodgkin_huxley,
     integrate,
     kuramoto,
     linear_attraction,
-    mckean_drift,
-    step_mckean,
 )
 from nxmf import particles
 from nxmf.kernels import LINE, Kernel
 from nxmf.particles import drift_batch
-from nxmf.pde import FiberedDensity
 from nxmf.weights import SparseWeights
 from conftest import pure_linear_kernel, random_sparse_weights, random_symmetric_weights
 
@@ -66,28 +58,28 @@ ODD_KERNELS = {"kuramoto": kuramoto, "linear_attraction": linear_attraction, "od
 class TestDrift:
     def test_two_body_linear(self):
         w = gen_uniform(2, 1.0)
-        x = ParticleState(np.array([[0.0], [1.0]]))
-        d = drift(w, pure_linear_kernel(), x)
+        x = np.array([[0.0], [1.0]])
+        d = drift_batch(w, pure_linear_kernel(), x[None])[0]
         assert np.allclose(d.ravel(), [0.5, -0.5])
 
     def test_coincident_zero(self, rng):
         w = random_sparse_weights(rng, 7)
-        x = ParticleState(np.full((7, 1), 1.3))
-        assert np.all(drift(w, linear_attraction(), x) == 0.0)
+        x = np.full((7, 1), 1.3)
+        assert np.all(drift_batch(w, linear_attraction(), x[None])[0] == 0.0)
 
     def test_class_permutation_matches_dense_loop(self, rng):
         w = gen_class_permutation(4, 2, [1, 2])
         k = pure_linear_kernel()
-        x = ParticleState(np.array([[0.0], [1.0], [2.0], [3.0]]))
-        assert np.allclose(drift(w, k, x), dense_drift_oracle(w, k, x.positions))
+        x = np.array([[0.0], [1.0], [2.0], [3.0]])
+        assert np.allclose(drift_batch(w, k, x[None])[0], dense_drift_oracle(w, k, x))
 
     def test_sparse_equals_dense_random(self, rng):
         for n in (5, 32, 256):
             w = random_sparse_weights(rng, n, density=0.2)
             k = linear_attraction()
-            x = ParticleState(rng.standard_normal((n, 1)))
-            fast = drift(w, k, x)
-            ref = dense_drift_oracle(w, k, x.positions)
+            x = rng.standard_normal((n, 1))
+            fast = drift_batch(w, k, x[None])[0]
+            ref = dense_drift_oracle(w, k, x)
             scale = max(1.0, np.abs(ref).max())
             assert np.abs(fast - ref).max() / scale <= 1e-12
 
@@ -103,7 +95,7 @@ class TestDrift:
         perm_then_d = exact_drift(w.permuted(perm), k, pos[perm])
         assert np.array_equal(d_then_perm, perm_then_d)
         # a dozen terms of size <= 1/3 per row: a few ulps of 1 at most
-        assert np.abs(drift(w, k, ParticleState(pos)) - exact_drift(w, k, pos)).max() <= 1e-14
+        assert np.abs(drift_batch(w, k, pos[None])[0] - exact_drift(w, k, pos)).max() <= 1e-14
 
     def test_permutation_symmetry_fast_mode(self, rng):
         n = 30
@@ -111,8 +103,8 @@ class TestDrift:
         k = linear_attraction()
         pos = rng.standard_normal((n, 1))
         perm = rng.permutation(n)
-        a = drift(w, k, ParticleState(pos))[perm]
-        b = drift(w.permuted(perm), k, ParticleState(pos[perm]))
+        a = drift_batch(w, k, pos[None])[0][perm]
+        b = drift_batch(w.permuted(perm), k, pos[perm][None])[0]
         assert np.abs(a - b).max() <= 1e-12
 
     def test_trajectory_relabeling(self, rng):
@@ -129,10 +121,10 @@ class TestDrift:
 
     def test_dimension_mismatch(self, rng):
         w = random_sparse_weights(rng, 4)
-        with pytest.raises(ValueError):
-            drift(w, linear_attraction(), ParticleState(np.zeros((4, 2))))
-        with pytest.raises(ValueError):
-            drift(w, linear_attraction(), ParticleState(np.zeros((5, 1))))
+        with pytest.raises(ValueError, match="kernel dimension"):
+            integrate(w, linear_attraction(), np.zeros((1, 4, 2)), [0.1], 0.05)
+        with pytest.raises(ValueError, match="number of agents"):
+            integrate(w, linear_attraction(), np.zeros((1, 5, 1)), [0.1], 0.05)
 
 
 class TestPairSymmetry:
@@ -243,17 +235,15 @@ class TestDeterministicStep:
         with pytest.raises(StabilityError, match="admissible"):
             integrate(w, linear_attraction(), one(np.zeros((4, 1))), [1.0], 1.0)
 
-    @pytest.mark.parametrize("stepper", ["deterministic", "stochastic", "mckean"])
+    @pytest.mark.parametrize("stepper", ["deterministic", "stochastic"])
     def test_guard_fires_after_admissible_step(self, stepper):
         # the scaling report is cached on w after the first span; the guard
         # must still reject an inadmissible step on every later span
         w = gen_uniform(4, 1.0)
         k = linear_attraction()
-        laws = gaussian_fibers(Grid1D(-4.0, 4.0, 64), [0.0] * 4, [0.5] * 4)
         step = {
             "deterministic": lambda x, dt: integrate(w, k, x[None], [dt], dt)[0, 0],
             "stochastic": lambda x, dt: integrate(w, k, x[None], [dt], dt, 0.1, 5)[0, 0],
-            "mckean": lambda x, dt: step_mckean(w, k, ParticleState(x), laws, dt).positions,
         }[stepper]
         x = step(np.linspace(-1.0, 1.0, 4)[:, None], 0.1)
         x = step(x, 0.5 / 0.75)
@@ -343,67 +333,6 @@ class TestReproducibility:
         split = integrate(w, k, x0, [0.1, 0.2], 0.05, 0.3, 11)
         whole = integrate(w, k, x0, [0.2], 0.05, 0.3, 11)
         assert np.array_equal(split[-1], whole[-1])
-
-
-class TestMcKean:
-    def grid(self):
-        return Grid1D(-4.0, 4.0, 160)
-
-    def test_one_hot_fiber_reduces_to_pairwise(self):
-        g = self.grid()
-        k = pure_linear_kernel()
-        from nxmf import SparseWeights
-
-        w = SparseWeights.from_entries(2, [(1, 2, 1.0)])
-        vals = np.zeros((2, g.n_cells))
-        c0 = 90
-        vals[1, c0] = 1.0 / g.dx
-        vals[0, 40] = 1.0 / g.dx
-        laws = FiberedDensity(grid=g, values=vals)
-        x = ParticleState(np.array([[0.3], [2.0]]))
-        d = mckean_drift(w, k, x, laws)
-        y0 = g.centers()[c0]
-        assert abs(d[0, 0] - (-(0.3 - y0))) < 1e-12
-        assert d[1, 0] == 0.0
-
-    def test_odd_kernel_symmetric_laws(self):
-        g = self.grid()
-        k = linear_attraction()
-        w = gen_uniform(2, 1.0, include_diagonal=True)
-        x_center = 0.5
-        laws = gaussian_fibers(g, [x_center, x_center], [0.4, 0.4])
-        x = ParticleState(np.array([[x_center], [x_center]]))
-        d = mckean_drift(w, k, x, laws)
-        assert np.abs(d).max() < 1e-12
-
-    def test_linear_kernel_moment_identity(self):
-        g = self.grid()
-        k = pure_linear_kernel()
-        w = gen_uniform(2, 1.0, include_diagonal=True)
-        laws = gaussian_fibers(g, [0.7, 0.7], [0.3, 0.3])
-        mean = float((laws.values[0] * g.centers()).sum() * g.dx)
-        x = ParticleState(np.array([[-0.2], [1.4]]))
-        d = mckean_drift(w, k, x, laws)
-        expected = -(x.positions[:, 0] - mean)
-        assert np.abs(d[:, 0] - expected).max() < 1e-10
-
-    def test_step_advances_time(self):
-        g = self.grid()
-        w = gen_uniform(2, 1.0)
-        laws = gaussian_fibers(g, [0.0, 0.0], [0.5, 0.5])
-        st = step_mckean(w, linear_attraction(), ParticleState(np.zeros((2, 1))), laws, 0.02)
-        assert st.time == 0.02
-
-
-class TestEmpirical:
-    def test_single_atom(self):
-        m = empirical(ParticleState(np.array([[2.0]])))
-        assert m.weight == 1.0
-        assert m.atoms.shape == (1, 1)
-
-    def test_total_mass(self, rng):
-        m = empirical(ParticleState(rng.standard_normal((37, 2))))
-        assert abs(m.weight * 37 - 1.0) < 1e-15
 
 
 class TestHodgkinHuxley:

@@ -10,16 +10,15 @@ from nxmf import (
     FiberedDensity,
     Grid1D,
     SparseWeights,
-    VelocityFieldGrid,
     gaussian_fibers,
     gen_uniform,
     kuramoto,
     linear_attraction,
     marginal,
     solve,
-    step_transport,
     velocity,
 )
+from nxmf import pde
 from nxmf.pde import fiber_convolution, velocity_bound
 from conftest import pure_linear_kernel, random_fibers, random_sparse_weights
 
@@ -37,17 +36,131 @@ def dense_no_flux_backward_euler(vals, c):
     return np.linalg.solve(np.eye(G) - c * t, vals.T).T
 
 
+def direct_convolution(f, k):
+    """Reference: the O(G^2) midpoint-quadrature convolution of each fiber
+    with K; offsets wrap to the nearest image on the torus, and the line
+    convolution is linear."""
+    g = f.grid
+    G, dx = g.n_cells, g.dx
+    if g.topology == "torus":
+        off = np.arange(G) * dx
+        off = np.where(off > g.length / 2, off - g.length, off)
+        idx = (np.arange(G)[:, None] - np.arange(G)[None, :]) % G
+    else:
+        off = np.arange(-(G - 1), G) * dx
+        idx = np.arange(G)[:, None] - np.arange(G)[None, :] + (G - 1)
+    kvec = np.asarray(k.eval(off[:, None])[:, 0], dtype=np.float64)
+    return (f.values @ kvec[idx].T) * dx
+
+
+def reference_faces(v, topology):
+    if topology == "torus":
+        return 0.5 * (v + np.roll(v, -1, axis=1))
+    faces = np.empty((v.shape[0], v.shape[1] + 1))
+    faces[:, 1:-1] = 0.5 * (v[:, :-1] + v[:, 1:])
+    faces[:, 0] = v[:, 0]
+    faces[:, -1] = v[:, -1]
+    return faces
+
+
+def reference_step(f, w, k, dt, nu, v):
+    """Reference: one step of the per-step FiberedDensity march that solve
+    replaced (upwind advection, then implicit diffusion), with the cell
+    velocity v computed by the caller.  Returns the new state and the step's
+    conservation defect."""
+    g = f.grid
+    dx = g.dx
+    faces = reference_faces(v, g.topology)
+    vmax = float(np.abs(faces).max()) if faces.size else 0.0
+    dt_ok = pde.cfl_limits(vmax, dx)
+    if dt > dt_ok * (1 + 1e-12):
+        raise CFLError(f"dt={dt:g} violates CFL; admissible dt <= {dt_ok:g}")
+    vals = f.values
+    up = np.maximum(faces, 0.0)
+    dn = np.minimum(faces, 0.0)
+    leak = np.zeros(f.n_fibers)
+    if g.topology == "torus":
+        flux = up * vals + dn * np.roll(vals, -1, axis=1)
+        div = flux - np.roll(flux, 1, axis=1)
+    else:
+        flux = np.zeros((f.n_fibers, g.n_cells + 1))
+        flux[:, 1:-1] = up[:, 1:-1] * vals[:, :-1] + dn[:, 1:-1] * vals[:, 1:]
+        flux[:, 0] = dn[:, 0] * vals[:, 0]
+        flux[:, -1] = up[:, -1] * vals[:, -1]
+        leak = (-flux[:, 0] + flux[:, -1]) * dt
+        div = flux[:, 1:] - flux[:, :-1]
+    new = vals - (dt / dx) * div
+    if nu > 0:
+        new = pde._diffuse(new, g, nu * dt / (dx * dx))
+    drift = float(np.abs((new.sum(axis=1) - vals.sum(axis=1)) * dx + leak).max())
+    clamp = 0.0
+    neg = new < 0.0
+    if neg.any():
+        clamp = float(-new[neg].sum()) * dx
+        new = np.where(neg, 0.0, new)
+    out = FiberedDensity(grid=g, values=new, time=f.time + dt, initial_mass=f.initial_mass,
+                         leakage=f.leakage + leak, clamp_total=f.clamp_total + clamp)
+    return out, drift
+
+
+def reference_solve(f0, w, k, nu, t_end, output_times, dt=None):
+    """Reference: the march solve replaced, one validated FiberedDensity and
+    one velocity evaluation (spectrum included) per step.  Returns the
+    snapshots, the step count, the worst per-step defect and the final state."""
+    targets = sorted(float(t) for t in output_times)
+    state = f0
+    snaps = {}
+    pending = list(range(len(targets)))
+    for idx in list(pending):
+        if targets[idx] <= 0 or t_end == 0:
+            snaps[idx] = state
+            pending.remove(idx)
+    max_drift = 0.0
+    n_steps = 0
+    while state.time < t_end - 1e-12:
+        v = velocity(state, w, k)
+        vmax = float(np.abs(reference_faces(v, f0.grid.topology)).max())
+        limit = (pde.cfl_limits(vmax, f0.grid.dx) if vmax != 0 or nu <= 0
+                 else 0.25 * f0.grid.dx**2 / nu)
+        if limit == 0.0:
+            raise CFLError(f"non-finite velocity at t={state.time:g}; no admissible dt")
+        step_dt = dt if dt is not None else (0.9 * limit if math.isfinite(limit)
+                                             else t_end - state.time)
+        step_dt = min(step_dt, t_end - state.time)
+        prev = state
+        state, drift = reference_step(prev, w, k, step_dt, nu, v)
+        max_drift = max(max_drift, drift)
+        n_steps += 1
+        for idx in list(pending):
+            tgt = targets[idx]
+            if state.time >= tgt - 1e-12:
+                snaps[idx] = state if abs(state.time - tgt) <= abs(prev.time - tgt) else prev
+                pending.remove(idx)
+    for idx in pending:
+        snaps[idx] = state
+    return [snaps[i] for i in range(len(targets))], n_steps, max_drift, state
+
+
+def step(f, w, k, dt, nu=0.0):
+    """One transport step of size dt from f, as a one-step solve; returns
+    the new state and the step's conservation defect."""
+    t = f.time + dt
+    res = solve(f, w, k, nu=nu, t_end=t, output_times=[t], dt=dt)
+    assert res.n_steps == 1
+    return res.final, res.max_step_mass_drift
+
+
 class TestVelocity:
     def test_zero_density(self):
         g = Grid1D(-2, 2, 32)
         f = FiberedDensity(grid=g, values=np.zeros((3, 32)))
-        v = velocity(f, gen_uniform(3, 1.0), linear_attraction(), method="direct")
-        assert np.all(v.values == 0.0)
+        v = velocity(f, gen_uniform(3, 1.0), linear_attraction())
+        assert np.all(v == 0.0)
 
     def test_uniform_identical_fibers_xi_independent(self):
         g = Grid1D(-5, 5, 64)
         f = gaussian_fibers(g, [0.4] * 6, [0.7] * 6)
-        v = velocity(f, gen_uniform(6, 1.0), linear_attraction()).values
+        v = velocity(f, gen_uniform(6, 1.0), linear_attraction())
         assert np.abs(v - v[0]).max() == 0.0
 
     def test_delta_fiber_linear_kernel(self):
@@ -58,7 +171,7 @@ class TestVelocity:
         vals[0, 10] = 1.0 / g.dx
         f = FiberedDensity(grid=g, values=vals)
         w = SparseWeights.from_entries(2, [(1, 2, 1.0)])
-        v = velocity(f, w, pure_linear_kernel(), method="direct").values
+        v = velocity(f, w, pure_linear_kernel())
         y0 = g.centers()[c0]
         assert np.abs(v[0] - (-(g.centers() - y0))).max() < 1e-12
         assert np.all(v[1] == 0.0)
@@ -69,8 +182,8 @@ class TestVelocity:
         g = Grid1D(span[0], span[1], 96, topology=topology)
         k = kuramoto() if topology == "torus" else linear_attraction()
         f = FiberedDensity(grid=g, values=rng.random((5, 96)))
-        a = fiber_convolution(f, k, method="direct")
-        b = fiber_convolution(f, k, method="fft")
+        a = direct_convolution(f, k)
+        b = fiber_convolution(f, k)
         assert np.abs(a - b).max() <= 1e-10
 
     def test_mismatch_rejected(self, rng):
@@ -86,15 +199,17 @@ class TestVelocity:
             f = random_fibers(rng, g, n)
             w = random_sparse_weights(rng, n)
             k = linear_attraction()
-            v = velocity(f, w, k).values
+            v = velocity(f, w, k)
             assert np.abs(v).max() <= velocity_bound(f, w, k) + 1e-12
 
 
 class TestStepTransport:
+    """One transport step, taken as a one-step solve."""
+
     def test_zero_velocity_identity(self, rng):
         g = Grid1D(-3, 3, 48)
         f = random_fibers(rng, g, 4)
-        out = step_transport(f, empty_weights(4), linear_attraction(), dt=0.01)
+        out, _ = step(f, empty_weights(4), linear_attraction(), dt=0.01)
         assert np.array_equal(out.values, f.values)
 
     @staticmethod
@@ -114,11 +229,13 @@ class TestStepTransport:
 
         v0 = variance(f)
         m0 = f.masses()[0]
-        state = f
-        for _ in range(n_steps):
-            state = step_transport(state, empty_weights(1), linear_attraction(), dt, nu=nu)
+        times = [dt * (i + 1) for i in range(n_steps)]
+        res = solve(f, empty_weights(1), linear_attraction(), nu=nu, t_end=times[-1],
+                    output_times=times, dt=dt)
+        assert res.n_steps == n_steps
+        for state in res.snapshots:
             assert abs(state.masses()[0] - m0) <= 1e-13
-        rate = (variance(state) - v0) / (state.time - f.time)
+        rate = (variance(res.final) - v0) / (res.final.time - f.time)
         assert abs(rate - 2 * nu) <= 0.05 * 2 * nu
 
     def test_pure_diffusion_mass_and_variance(self):
@@ -136,14 +253,14 @@ class TestStepTransport:
         w = random_sparse_weights(rng, 5)
         state = f
         for _ in range(20):
-            vmax = np.abs(velocity(state, w, k).values).max()
+            vmax = np.abs(velocity(state, w, k)).max()
             dt = 0.9 * 0.4 * g.dx / max(vmax, 1e-12)
             nu = 50 * g.dx**2 / dt
             prev = state
-            state = step_transport(state, w, k, dt, nu=nu)
-            assert state.last_mass_drift <= 1e-12
-            step = state.masses() + state.leakage - prev.masses() - prev.leakage
-            assert np.abs(step).max() <= 1e-12
+            state, drift = step(state, w, k, dt, nu=nu)
+            assert drift <= 1e-12
+            change = state.masses() + state.leakage - prev.masses() - prev.leakage
+            assert np.abs(change).max() <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), topology=st.sampled_from(["line", "torus"]),
@@ -156,9 +273,9 @@ class TestStepTransport:
         f = FiberedDensity(grid=g, values=vals)
         dt = 1e-3
         nu = 10.0**log_c * g.dx**2 / dt
-        out = step_transport(f, empty_weights(3), linear_attraction(), dt, nu=nu)
+        out, drift = step(f, empty_weights(3), linear_attraction(), dt, nu=nu)
         assert out.clamp_total <= 1e-14 * max(float(f.masses().sum()), 1e-300)
-        assert out.last_mass_drift <= 1e-13 * max(float(f.masses().max()), 1e-300)
+        assert drift <= 1e-13 * max(float(f.masses().max()), 1e-300)
 
     def test_implicit_diffusion_first_order_in_dt(self):
         # one torus Fourier mode against the exact semi-discrete heat
@@ -171,11 +288,10 @@ class TestStepTransport:
         exact = 1.0 + 0.5 * math.exp(-nu * lam * t_end) * np.cos(mode * x)
 
         def error(n_steps):
-            state = f
-            for _ in range(n_steps):
-                state = step_transport(state, empty_weights(1), linear_attraction(),
-                                       t_end / n_steps, nu=nu)
-            return np.abs(state.values[0] - exact).max()
+            res = solve(f, empty_weights(1), linear_attraction(), nu=nu, t_end=t_end,
+                        output_times=[t_end], dt=t_end / n_steps)
+            assert res.n_steps == n_steps
+            return np.abs(res.final.values[0] - exact).max()
 
         e = [error(n) for n in (10, 20, 40)]
         for coarse, fine in zip(e, e[1:]):
@@ -186,7 +302,7 @@ class TestStepTransport:
         f = FiberedDensity(grid=g, values=rng.random((4, 48)))
         for c in (0.1, 3.0, 200.0):
             nu, dt = c * g.dx**2 / 0.01, 0.01
-            out = step_transport(f, empty_weights(4), linear_attraction(), dt, nu=nu)
+            out, _ = step(f, empty_weights(4), linear_attraction(), dt, nu=nu)
             ref = dense_no_flux_backward_euler(f.values, c)
             assert np.abs(out.values - ref).max() <= 1e-12
 
@@ -197,9 +313,9 @@ class TestStepTransport:
         k = linear_attraction()
         state = f
         for _ in range(100):
-            vmax = np.abs(velocity(state, w, k).values).max()
+            vmax = np.abs(velocity(state, w, k)).max()
             dt = 0.9 * 0.4 * g.dx / max(vmax, 1e-12)
-            state = step_transport(state, w, k, dt)
+            state, _ = step(state, w, k, dt)
         spread = np.abs(state.values - state.values[0]).max()
         assert spread <= 1e-12
 
@@ -208,17 +324,19 @@ class TestStepTransport:
         f = gaussian_fibers(g, [1.0, -1.0], [0.5, 0.5])
         w = gen_uniform(2, 1.0, include_diagonal=True)
         with pytest.raises(CFLError, match="admissible dt"):
-            step_transport(f, w, linear_attraction(), dt=10.0)
+            step(f, w, linear_attraction(), dt=10.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_velocity_is_cfl_error(self, bad):
+        # K is non-finite only at the origin, so the velocity is non-finite
         g = Grid1D(-5, 5, 64)
         f = gaussian_fibers(g, [1.0, -1.0], [0.5, 0.5])
         w = gen_uniform(2, 1.0, include_diagonal=True)
-        v = velocity(f, w, linear_attraction()).values.copy()
-        v[1, 7] = bad
-        with pytest.raises(CFLError):
-            step_transport(f, w, linear_attraction(), dt=1e-6, vfield=VelocityFieldGrid(v))
+        base = linear_attraction()
+        k = dataclasses.replace(base, eval=lambda x: np.where(x == 0.0, bad, base.eval(x)),
+                                zero_at_origin=False, odd=False)
+        with np.errstate(invalid="ignore"), pytest.raises(CFLError, match="non-finite"):
+            step(f, w, k, dt=1e-6)
 
     def test_positivity_and_clamp_ledger(self, rng):
         g = Grid1D(-6, 6, 80)
@@ -227,9 +345,9 @@ class TestStepTransport:
         k = linear_attraction()
         state = f
         for _ in range(50):
-            vmax = np.abs(velocity(state, w, k).values).max()
+            vmax = np.abs(velocity(state, w, k)).max()
             dt = 0.9 * 0.4 * g.dx / max(vmax, 1e-12)
-            state = step_transport(state, w, k, dt)
+            state, _ = step(state, w, k, dt)
         assert np.all(state.values >= 0.0)
         assert state.clamp_total <= 1e-12
 
@@ -237,26 +355,78 @@ class TestStepTransport:
         # profile pushed through the boundary: lost mass is accounted for
         g = Grid1D(-1.5, 1.5, 64)
         f = gaussian_fibers(g, [1.0], [0.3])
-        w = gen_uniform(1, 4.0, include_diagonal=True)
         k = pure_linear_kernel()
-        # attraction toward the mean keeps mass inside; use repulsion via
-        # negative weight to push outward
+        # a negative self-weight repels the profile from its own mean
         w = SparseWeights.from_entries(1, [(1, 1, -4.0)])
         state = f
         for _ in range(200):
-            vmax = np.abs(velocity(state, w, k).values).max()
+            vmax = np.abs(velocity(state, w, k)).max()
             dt = 0.5 * 0.4 * g.dx / max(vmax, 1e-12)
-            state = step_transport(state, w, k, dt)
+            state, _ = step(state, w, k, dt)
         assert state.leakage[0] > 1e-4
         assert np.abs(state.mass_defect()).max() <= 1e-12
 
 
+def march_inputs(rng, topology):
+    """Four fibers on a line or a torus with random signed weights.  The
+    fibers are zero on 40 adjacent cells, so that diffusion leaves roundoff
+    negatives to clamp, and on the line they reach the walls, so that mass
+    leaks."""
+    span = (0.0, 2 * math.pi) if topology == "torus" else (-3.0, 3.0)
+    g = Grid1D(span[0], span[1], 64, topology=topology)
+    vals = rng.random((4, 64))
+    vals[rng.random(vals.shape) < 0.5] = 0.0
+    vals[:, 12:52] = 0.0
+    k = kuramoto() if topology == "torus" else linear_attraction()
+    return FiberedDensity(grid=g, values=vals), random_sparse_weights(rng, 4, 0.6, 3.0), k
+
+
 class TestSolve:
+    @pytest.mark.parametrize("topology", ["line", "torus"])
+    @pytest.mark.parametrize("nu", [0.0, 0.01])
+    @pytest.mark.parametrize("dt", [None, 0.01])
+    def test_matches_reference_march(self, rng, topology, nu, dt):
+        # bitwise, against the per-step FiberedDensity march; the output at
+        # 0.043 lies nearer the step before it when dt = 0.01
+        f, w, k = march_inputs(rng, topology)
+        times = [0.0, 0.043, 0.25, 0.5]
+        res = solve(f, w, k, nu=nu, t_end=0.5, output_times=times, dt=dt)
+        snaps, n_steps, max_drift, final = reference_solve(f, w, k, nu, 0.5, times, dt)
+        assert res.n_steps == n_steps
+        assert res.max_step_mass_drift == max_drift
+        for a, b in zip([*res.snapshots, res.final], [*snaps, final]):
+            assert a.time == b.time
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.leakage, b.leakage)
+            assert a.clamp_total == b.clamp_total
+            assert np.array_equal(a.initial_mass, b.initial_mass)
+        if dt is not None:
+            assert res.snapshots[1].time < 0.043
+        if topology == "line":
+            assert res.final.leakage.max() > 0.0
+        if nu > 0:
+            assert res.final.clamp_total > 0.0
+
     def test_t_end_zero(self, rng):
         g = Grid1D(-3, 3, 32)
         f = random_fibers(rng, g, 3)
         res = solve(f, empty_weights(3), linear_attraction(), nu=0.0, t_end=0.0, output_times=[0.0])
         assert res.snapshots == [f]
+
+    @pytest.mark.parametrize("n_weights,dim,nu,dt,match", [
+        (3, 1, -1.0, None, "nu"),
+        (3, 1, math.nan, None, "nu"),
+        (3, 1, 0.0, 0.0, "dt"),
+        (3, 1, 0.0, -0.1, "dt"),
+        (4, 1, 0.0, None, "weight rows"),
+        (3, 2, 0.0, None, "1-D"),
+    ])
+    def test_rejects_bad_input_before_any_step(self, rng, n_weights, dim, nu, dt, match):
+        g = Grid1D(-3, 3, 32)
+        f = random_fibers(rng, g, 3)
+        k = dataclasses.replace(linear_attraction(), dim=dim)
+        with pytest.raises(ValueError, match=match):
+            solve(f, empty_weights(n_weights), k, nu=nu, t_end=0.0, output_times=[0.0], dt=dt)
 
     def test_pure_diffusion_takes_more_than_one_step(self):
         g = Grid1D(-3, 3, 32)
@@ -323,9 +493,10 @@ class TestSolve:
         w = gen_uniform(1, 1.0, include_diagonal=True)
         res = solve(f, w, linear_attraction(), nu=0.0, t_end=0.4,
                     output_times=[0.0, 0.2, 0.4], dt=0.05)
-        assert res.snapshot_times[0] == 0.0
-        assert abs(res.snapshot_times[1] - 0.2) <= 0.025 + 1e-12
-        assert abs(res.snapshot_times[2] - 0.4) <= 1e-12
+        times = [s.time for s in res.snapshots]
+        assert times[0] == 0.0
+        assert abs(times[1] - 0.2) <= 0.025 + 1e-12
+        assert abs(times[2] - 0.4) <= 1e-12
 
 
 class TestRegularityGrowth:
