@@ -180,19 +180,20 @@ def cmd_observe(cfg: ExperimentConfig, em: Emitter, seed: int):
     mid = res.snapshots[len(res.snapshots) // 2]
     h = hierarchy(w, mid, n_max=n_max, lam=lam)
 
+    centers = grid.centers()
     norm_rows = []
     for t, ob in h.observables.items():
         name = t.to_text()
         norm_rows.append((name, t.order, ob.l2_norm(), ob.sup_norm()))
         if t.order <= 2:
             if t.order == 1:
-                rows = [(grid.centers()[i], ob.values[i]) for i in range(grid.n_cells)]
+                rows = [(centers[i], ob.values[i]) for i in range(grid.n_cells)]
                 em.write_csv(f"tau_{name.replace(',', '_')}.csv", ["x1", "value"], rows)
             else:
                 rows = []
                 for i in range(grid.n_cells):
                     for j in range(grid.n_cells):
-                        rows.append((grid.centers()[i], grid.centers()[j], ob.values[i, j]))
+                        rows.append((centers[i], centers[j], ob.values[i, j]))
                 em.write_csv(f"tau_{name.replace(',', '_')}.csv", ["x1", "x2", "value"], rows)
         else:
             em.write_lattice(f"tau_{name.replace(',', '_')}.bin", t.order, grid.n_cells, ob.values)

@@ -8,6 +8,7 @@ carry the dotted field path; JSON syntax errors already carry line/column.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -46,6 +47,8 @@ def _number(d, key, path, lo=None, hi=None, default=None, integer=False):
     v = d[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path}.{key}", "must be a number")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ConfigError(f"{path}.{key}", "must be finite")
     if integer and int(v) != v:
         raise ConfigError(f"{path}.{key}", "must be an integer")
     if lo is not None and v < lo:
@@ -197,7 +200,7 @@ class ExperimentConfig:
         for i, s in enumerate(snaps):
             if isinstance(s, bool) or not isinstance(s, (int, float)):
                 raise ConfigError(f"time.snapshots[{i}]", "must be a number")
-            if s < 0 or s > t_end:
+            if not 0 <= s <= t_end:        # also rejects NaN
                 raise ConfigError(f"time.snapshots[{i}]", "must lie in [0, t_end]")
         if len(set(snaps)) < len(snaps):
             raise ConfigError("time.snapshots", "must not repeat a time")

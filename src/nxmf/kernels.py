@@ -3,7 +3,10 @@
 A Kernel bundles the pairwise interaction K together with the norms the
 error estimates need (Lipschitz constant, sup norm, L1 norm, sup of the
 divergence) and the state-space geometry.  K acts on difference vectors of
-shape (..., dim).  An optional self_drift carries uncoupled per-agent
+shape (..., dim) and must be pointwise over the leading axes: each output
+row depends only on its own difference vector, because the particle drift
+evaluates K on blocks of entries and any split must give the same bits.
+An optional self_drift carries uncoupled per-agent
 dynamics (used by the neuron preset); it plays no role in the interaction
 bounds.  A kernel declared odd (K(-x) = -K(x) bitwise) lets the particle
 drift evaluate each unordered pair of a symmetric weight matrix once.

@@ -21,6 +21,9 @@ from .weights import SparseWeights, check_scaling
 
 # replicas advanced together by integrate; no result depends on it
 CHUNK = 64
+# (entry, replica, dim) elements per block of drift_batch, 256 KB per block
+# buffer; no result depends on it
+DRIFT_BLOCK = 1 << 15
 
 
 class StabilityError(RuntimeError):
@@ -73,31 +76,50 @@ def _drift_plan(w: SparseWeights, k: Kernel) -> _DriftPlan:
 
 
 def _drift_scratch(w, k, n_rep, d):
-    """Buffers for drift_batch on n_rep replicas of dimension d."""
+    """Buffers for drift_batch on n_rep replicas of dimension d: w_ij K of
+    every plan entry, (n_eval, n_rep, d), and two (block, n_rep, d) buffers
+    for one block of gathered positions."""
     n_eval = _drift_plan(w, k).rows.size
-    return np.empty((n_eval, n_rep, d)), np.empty((n_eval, n_rep, d))
+    block = min(n_eval, max(1, DRIFT_BLOCK // (n_rep * d)))
+    return np.empty((n_eval, n_rep, d)), np.empty((block, n_rep, d)), np.empty((block, n_rep, d))
+
+
+def _eval_block(k, by_agent, rows, cols, vals, out, xi, xj):
+    """out = vals * K(x_rows - x_cols) for one block of plan entries, with xi
+    and xj (the block's length) as scratch."""
+    # mode="clip" lets take write straight into out; "raise" buffers it
+    np.take(by_agent, rows, axis=0, out=xi, mode="clip")
+    np.take(by_agent, cols, axis=0, out=xj, mode="clip")
+    np.subtract(xi, xj, out=xi)
+    np.multiply(k.eval(xi), vals[:, None, None], out=out)
 
 
 def drift_batch(w, k, positions, scratch=None):
     """Drift for a stack of independent replicas, shape (R, N, d).
 
-    Work is entry-major: positions are gathered into (n_eval, R, d)
-    buffers, so the row sum reads them with no transpose.  For a symmetric
-    w and an odd K each unordered pair is evaluated once, with results
-    bitwise equal to evaluating every entry (see _drift_plan).  scratch, from
-    _drift_scratch for the same R, supplies those buffers; without it they
-    are allocated per call.
+    Work is entry-major and blocked: DRIFT_BLOCK // (R d) plan entries at a
+    time are gathered, subtracted and passed through k.eval in two small
+    buffers that stay in cache, and w_ij K lands in one (n_eval, R, d)
+    buffer that the row sum reads with no transpose.  Each step is
+    elementwise per entry, so the blocking does not change the result.
+    For a symmetric w and an odd K each unordered pair is evaluated once,
+    with results bitwise equal to evaluating every entry (see _drift_plan).
+    scratch, from _drift_scratch for the same R, supplies the buffers;
+    without it they are allocated per call.
     """
     r, n, d = positions.shape
     plan = _drift_plan(w, k)
-    a, b = _drift_scratch(w, k, r, d) if scratch is None else scratch
+    kv, a, b = _drift_scratch(w, k, r, d) if scratch is None else scratch
     by_agent = np.ascontiguousarray(positions.transpose(1, 0, 2))
-    # mode="clip" lets take write straight into out; "raise" buffers it
-    np.take(by_agent, plan.rows, axis=0, out=a, mode="clip")
-    np.take(by_agent, plan.cols, axis=0, out=b, mode="clip")
-    np.subtract(a, b, out=a)
-    np.multiply(k.eval(a), plan.vals[:, None, None], out=b)
-    return (plan.rowsum @ b.reshape(-1, r * d)).reshape(n, r, d).transpose(1, 0, 2)
+    n_eval, step = plan.rows.size, a.shape[0]
+    if step >= n_eval:      # one block: no views to cut
+        _eval_block(k, by_agent, plan.rows, plan.cols, plan.vals, kv, a, b)
+    else:
+        for lo in range(0, n_eval, step):
+            hi = lo + step
+            _eval_block(k, by_agent, plan.rows[lo:hi], plan.cols[lo:hi], plan.vals[lo:hi],
+                        kv[lo:hi], a[:n_eval - lo], b[:n_eval - lo])
+    return (plan.rowsum @ kv.reshape(-1, r * d)).reshape(n, r, d).transpose(1, 0, 2)
 
 
 def _check_guard(w, k, dt):

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -68,6 +69,7 @@ BAD_MUTATIONS = [
     ("init.std", 0.0),
     ("init.std", -1.0),
     ("init.std", ...),
+    ("init.std", -math.inf),
     ("grid.x_min", "a"),
     ("grid.x_min", 7.0),     # exceeds x_max
     ("grid.x_max", -7.0),
@@ -79,15 +81,18 @@ BAD_MUTATIONS = [
     ("time.t_end", -1.0),
     ("time.t_end", "later"),
     ("time.t_end", ...),
+    ("time.t_end", math.inf),
     ("time.snapshots", 0.5),
     ("time.snapshots", [0.2]),      # beyond t_end
     ("time.snapshots", [-0.1]),
     ("time.snapshots", ["now"]),
+    ("time.snapshots", [0.0, math.nan]),
     ("time.snapshots", [0.0, 0.05, 0.05, 0.1]),     # a repeated time
     ("time.dt", 0.0),
     ("time.dt", -0.5),
     ("nu", -0.1),
     ("nu", "thick"),
+    ("nu", math.nan),
     ("sigma", -1.0),
     ("seed", -3),
     ("seed", 1.5),
@@ -189,6 +194,15 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(mutate("grid.cells", 4)))
         assert main(["solve", "--config", str(path)]) == 2
+
+    def test_non_finite_config_exit_code(self, tmp_path, capsys):
+        # json reads the Infinity literal; an infinite t_end must not start a solve
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(mutate("time.t_end", math.inf)))
+        assert "Infinity" in path.read_text()
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["config error: config field 'time.t_end': must be finite"]
 
     def test_cfl_violation_exit_code(self, tmp_path):
         doc = copy.deepcopy(GOLDEN)

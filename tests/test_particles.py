@@ -178,14 +178,41 @@ class TestPairSymmetry:
         assert np.array_equal(drift_batch(bent, k, x),
                               drift_batch(bent, dataclasses.replace(k, odd=False), x))
 
-    def test_scratch_reused_across_calls(self, rng):
+    def test_scratch_reused_across_calls(self, rng, monkeypatch):
+        monkeypatch.setattr(particles, "DRIFT_BLOCK", 15)      # 3 entries per block at R = 5
         w = random_symmetric_weights(rng, 10, 0.5)
         k = linear_attraction()
         x = rng.standard_normal((5, 10, 1))
         scratch = particles._drift_scratch(w, k, 5, 1)
+        n_eval = particles._drift_plan(w, k).rows.size
+        assert n_eval > 3
+        assert [s.shape for s in scratch] == [(n_eval, 5, 1), (3, 5, 1), (3, 5, 1)]
         first = drift_batch(w, k, x, scratch)
         assert np.array_equal(drift_batch(w, k, 2 * x, scratch), drift_batch(w, k, 2 * x))
         assert np.array_equal(first, drift_batch(w, k, x))
+
+
+class TestDriftBlocks:
+    @pytest.mark.parametrize("n_rep", [1, 36, 64])
+    @pytest.mark.parametrize("name", sorted(ODD_KERNELS))
+    @pytest.mark.parametrize("odd", [True, False], ids=["folded", "unfolded"])
+    def test_block_budget_does_not_change_bits(self, rng, monkeypatch, n_rep, name, odd):
+        # one entry per block, 5 entries per block (which splits rows and
+        # leaves a short last block), and the default, one block here
+        w = random_symmetric_weights(rng, 12, 0.6)
+        k = dataclasses.replace(ODD_KERNELS[name](), odd=odd)
+        rows = particles._drift_plan(w, k).rows
+        assert rows.size % 5 and np.any(rows[4:-1:5] == rows[5::5])
+        x = rng.uniform(0.0, 2 * math.pi, (n_rep, 12, k.dim))
+        runs = []
+        for budget, step in [(1, 1), (5 * n_rep * k.dim, 5), (particles.DRIFT_BLOCK, rows.size)]:
+            monkeypatch.setattr(particles, "DRIFT_BLOCK", budget)
+            assert particles._drift_scratch(w, k, n_rep, k.dim)[1].shape[0] == step
+            runs.append([drift_batch(w, k, x)] + [integrate(w, k, x, [0.05, 0.1], 0.05, sigma, 11)
+                                                  for sigma in (0.0, 0.3)])
+        for run in runs[:2]:
+            for got, want in zip(run, runs[2]):
+                assert np.array_equal(got, want)
 
 
 class TestOddKernel:
