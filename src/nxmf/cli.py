@@ -39,6 +39,7 @@ from .trees import enumerate_trees
 from .weights import check_scaling
 
 FLOAT_FMT = "{:.17g}"
+CSV_CHUNK_ROWS = 1 << 12      # rows per write: bounds memory; 2^14 was no faster
 
 
 def _fmt(v) -> str:
@@ -48,6 +49,21 @@ def _fmt(v) -> str:
     if "," in s or '"' in s:
         s = '"' + s.replace('"', '""') + '"'
     return s
+
+
+def _column_text(col) -> list[str]:
+    """The CSV fields of one column, in order.
+
+    A float64 array is formatted once per distinct bit pattern; the int64
+    view keeps -0.0 apart from 0.0 and each NaN payload apart.  Any other
+    column goes through `_fmt` one value at a time.
+    """
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        text = np.array([FLOAT_FMT.format(v) for v in bits.view(np.float64).tolist()],
+                        dtype=object)
+        return text[inverse].tolist()
+    return [_fmt(v) for v in (col.tolist() if isinstance(col, np.ndarray) else col)]
 
 
 class Emitter:
@@ -66,11 +82,28 @@ class Emitter:
         path.write_text(text)
         self.register_file(path)
 
-    def write_csv(self, name: str, header: list[str], rows):
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        self.write_text(name, "\n".join(lines) + "\n")
+    def write_csv(self, name: str, header: list[str], columns):
+        """Write a CSV table given column by column.
+
+        `columns` holds one equal-length 1-D sequence per header name: a
+        numpy array or a list/tuple of Python values.  Floats (Python or
+        numpy float64) are written with `FLOAT_FMT`, `%.17g`, so they read
+        back bit-exact; `nan`, `inf` and `-inf` appear as such and `-0.0`
+        keeps its sign.  Arrays of other dtypes are read through `.tolist()`.
+        Every other value is written with `str`, and a field containing a
+        comma or a double quote is quoted the CSV way (quotes doubled).
+        Lines end in `\\n`, the last one included.
+        """
+        n_rows = len(columns[0]) if columns else 0
+        if len(columns) != len(header) or any(len(c) != n_rows for c in columns):
+            raise ValueError(f"{name}: need one column of equal length per header field")
+        path = self.out_dir / name
+        with open(path, "w") as fh:
+            fh.write(",".join(header) + "\n")
+            for lo in range(0, n_rows, CSV_CHUNK_ROWS):
+                fields = [_column_text(c[lo:lo + CSV_CHUNK_ROWS]) for c in columns]
+                fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+        self.register_file(path)
 
     def write_json(self, name: str, obj):
         self.write_text(name, canonical_json(obj))
@@ -106,8 +139,8 @@ class Emitter:
         self.write_text("manifest.json", canonical_json(doc))
 
 
-def _gap_rows(reports: list[GapReport]):
-    return [(r.t, r.gap, r.bound, r.stderr, r.seeds) for r in reports]
+def _gap_columns(reports: list[GapReport]):
+    return list(zip(*[(r.t, r.gap, r.bound, r.stderr, r.seeds) for r in reports]))
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +155,11 @@ def cmd_simulate(cfg: ExperimentConfig, em: Emitter, seed: int):
     snaps = sorted(float(s) for s in cfg.time.get("snapshots", [t_end]))
     dt = float(cfg.time.get("dt", 0.01))
     traj = integrate(w, k, laws.sample_replicas(seed, 1), snaps, dt, cfg.sigma, seed)[:, 0]
-    rows = [(t, i + 1) + tuple(p) for t, snap in zip(snaps, traj) for i, p in enumerate(snap)]
-    header = ["t", "agent"] + [f"coord{j}" for j in range(traj.shape[-1])]
-    em.write_csv("trajectory.csv", header, rows)
+    n_snaps, n_agents, d = traj.shape
+    columns = [np.repeat(snaps, n_agents), np.tile(np.arange(1, n_agents + 1), n_snaps)]
+    columns += [traj[..., j].ravel() for j in range(d)]
+    header = ["t", "agent"] + [f"coord{j}" for j in range(d)]
+    em.write_csv("trajectory.csv", header, columns)
     rep = check_scaling(w)
     em.write_json("scaling_report.json", {
         "max_row_abs_sum": rep.max_row_abs_sum,
@@ -150,13 +185,15 @@ def _solve_from_config(cfg: ExperimentConfig):
 
 def cmd_solve(cfg: ExperimentConfig, em: Emitter, seed: int):
     w, k, grid, res = _solve_from_config(cfg)
-    rows = []
-    centers = grid.centers()
-    for snap in res.snapshots:
-        for fib in range(snap.n_fibers):
-            for c in range(grid.n_cells):
-                rows.append((snap.time, fib + 1, c, centers[c], snap.values[fib, c]))
-    em.write_csv("density.csv", ["t", "fiber", "cell", "x_center", "value"], rows)
+    n_snaps, n_fibers, g_cells = len(res.snapshots), res.final.n_fibers, grid.n_cells
+    per_snap = n_fibers * g_cells
+    em.write_csv("density.csv", ["t", "fiber", "cell", "x_center", "value"], [
+        np.repeat([snap.time for snap in res.snapshots], per_snap),
+        np.tile(np.repeat(np.arange(1, n_fibers + 1), g_cells), n_snaps),
+        np.tile(np.arange(g_cells), n_snaps * n_fibers),
+        np.tile(grid.centers(), n_snaps * n_fibers),
+        np.concatenate([snap.values.ravel() for snap in res.snapshots]),
+    ])
     if cfg.raw.get("output", {}).get("binary_density"):
         for i, snap in enumerate(res.snapshots):
             em.write_density_bin(f"density_{i:03d}.bin", snap)
@@ -185,19 +222,16 @@ def cmd_observe(cfg: ExperimentConfig, em: Emitter, seed: int):
     for t, ob in h.observables.items():
         name = t.to_text()
         norm_rows.append((name, t.order, ob.l2_norm(), ob.sup_norm()))
-        if t.order <= 2:
-            if t.order == 1:
-                rows = [(centers[i], ob.values[i]) for i in range(grid.n_cells)]
-                em.write_csv(f"tau_{name.replace(',', '_')}.csv", ["x1", "value"], rows)
-            else:
-                rows = []
-                for i in range(grid.n_cells):
-                    for j in range(grid.n_cells):
-                        rows.append((centers[i], centers[j], ob.values[i, j]))
-                em.write_csv(f"tau_{name.replace(',', '_')}.csv", ["x1", "x2", "value"], rows)
+        if t.order == 1:
+            em.write_csv(f"tau_{name.replace(',', '_')}.csv", ["x1", "value"],
+                         [centers, ob.values])
+        elif t.order == 2:
+            em.write_csv(f"tau_{name.replace(',', '_')}.csv", ["x1", "x2", "value"],
+                         [np.repeat(centers, grid.n_cells), np.tile(centers, grid.n_cells),
+                          ob.values.ravel()])
         else:
             em.write_lattice(f"tau_{name.replace(',', '_')}.bin", t.order, grid.n_cells, ob.values)
-    em.write_csv("hierarchy_norms.csv", ["tree", "order", "l2", "sup"], norm_rows)
+    em.write_csv("hierarchy_norms.csv", ["tree", "order", "l2", "sup"], list(zip(*norm_rows)))
     admissible, threshold = lambda_admissible(lam, w, mid, k, t_star=float(cfg.time["t_end"]))
     em.write_json("hierarchy_norm.json", {
         "lambda": lam, "n_max": n_max, "norm_truncated_lower_bound": hierarchy_norm(h),
@@ -212,7 +246,8 @@ def cmd_observe(cfg: ExperimentConfig, em: Emitter, seed: int):
             for t in enumerate_trees(order):
                 rep = hierarchy_residual(t, w, res.snapshots, k, nu=cfg.nu)
                 rows.append((t.to_text(), order, rep.value, rep.dt, rep.dx))
-        em.write_csv("hierarchy_residuals.csv", ["tree", "order", "l1_residual", "dt", "dx"], rows)
+        em.write_csv("hierarchy_residuals.csv", ["tree", "order", "l1_residual", "dt", "dx"],
+                     list(zip(*rows)))
 
 
 def cmd_rearrange(cfg: ExperimentConfig, em: Emitter, seed: int):
@@ -235,7 +270,7 @@ def cmd_rearrange(cfg: ExperimentConfig, em: Emitter, seed: int):
     shifts = sorted({max(1, cells // (2**j)) for j in range(1, 14)})
     table = modulus(g, phi, shifts)
     rows = [(s, s / cells, m) for s, m in sorted(table.items())]
-    em.write_csv("modulus.csv", ["shift_cells", "shift_fraction", "modulus"], rows)
+    em.write_csv("modulus.csv", ["shift_cells", "shift_fraction", "modulus"], list(zip(*rows)))
     em.write_json("modulus_fit.json", {
         "fitted_constant": fit_modulus_constant(table, cells),
         "note": "informational; acceptance uses the level bound 3*2^-k",
@@ -254,11 +289,11 @@ def cmd_convergence(cfg: ExperimentConfig, em: Emitter, seed: int):
     rep = independence_gap(w, k, laws, grid, t_end, dt, seed,
                            n_replicas=max(100, cfg.replicas), sigma=cfg.sigma)
     em.write_csv("independence_gap.csv", ["t", "gap", "bound", "stderr", "seeds"],
-                 _gap_rows([rep]))
+                 _gap_columns([rep]))
     reports = meanfield_gap(w, k, laws, grid, snaps, dt, seed,
                             n_seeds=max(2, cfg.replicas), sigma=cfg.sigma)
     em.write_csv("meanfield_gap.csv", ["t", "gap", "bound", "stderr", "seeds"],
-                 _gap_rows(reports))
+                 _gap_columns(reports))
 
 
 COMMANDS = {

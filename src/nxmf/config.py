@@ -40,22 +40,28 @@ def _typed(value, types, path, what):
 
 
 def _number(d, key, path, lo=None, hi=None, default=None, integer=False):
+    field_path = f"{path}.{key}" if path else key
     if key not in d:
         if default is not None:
             return default
-        raise ConfigError(f"{path}.{key}", "missing required field")
+        raise ConfigError(field_path, "missing required field")
     v = d[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}", "must be a number")
+        raise ConfigError(field_path, "must be a number")
+    if not integer:
+        try:
+            v = float(v)
+        except OverflowError:       # an integer literal beyond the float range
+            raise ConfigError(field_path, "must be finite") from None
     if isinstance(v, float) and not math.isfinite(v):
-        raise ConfigError(f"{path}.{key}", "must be finite")
+        raise ConfigError(field_path, "must be finite")
     if integer and int(v) != v:
-        raise ConfigError(f"{path}.{key}", "must be an integer")
+        raise ConfigError(field_path, "must be an integer")
     if lo is not None and v < lo:
-        raise ConfigError(f"{path}.{key}", f"must be >= {lo}")
+        raise ConfigError(field_path, f"must be >= {lo}")
     if hi is not None and v > hi:
-        raise ConfigError(f"{path}.{key}", f"must be <= {hi}")
-    return int(v) if integer else float(v)
+        raise ConfigError(field_path, f"must be <= {hi}")
+    return int(v) if integer else v
 
 
 @dataclass
@@ -130,6 +136,10 @@ class ExperimentConfig:
             raise ConfigError("graph.kind", f"unknown generator {kind!r}")
         if kind in ("uniform", "class_permutation", "graphon_product"):
             _number(g, "n", "graph", lo=1, integer=True)
+        if kind == "uniform":
+            _number(g, "w_bar", "graph", default=1.0)
+        if kind == "graphon_product":
+            _number(g, "scale", "graph", default=1.0)
         if kind == "class_permutation":
             n = _number(g, "n", "graph", lo=1, integer=True)
             m = _number(g, "m", "graph", lo=1, integer=True)

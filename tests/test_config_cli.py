@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 
@@ -23,6 +24,11 @@ GOLDEN = {
     "rearrange": {"levels": 2, "cells": 64},
     "out_dir": "out",
 }
+
+
+def _short_repr(v) -> str:
+    r = repr(v)
+    return r if len(r) <= 60 else f"{r[:12]}...<{len(r)} chars>"
 
 
 def mutate(path, value):
@@ -93,6 +99,13 @@ BAD_MUTATIONS = [
     ("nu", -0.1),
     ("nu", "thick"),
     ("nu", math.nan),
+    ("nu", 10**400),         # an integer literal beyond the float range
+    ("graph", {"kind": "uniform", "n": 8, "w_bar": math.nan}),
+    ("graph", {"kind": "uniform", "n": 8, "w_bar": -math.inf}),
+    ("graph", {"kind": "uniform", "n": 8, "w_bar": 10**400}),
+    ("graph", {"kind": "uniform", "n": 8, "w_bar": "heavy"}),
+    ("graph", {"kind": "graphon_product", "n": 8, "scale": math.inf}),
+    ("graph", {"kind": "graphon_product", "n": 8, "scale": math.nan}),
     ("sigma", -1.0),
     ("seed", -3),
     ("seed", 1.5),
@@ -128,7 +141,7 @@ class TestConfig:
         assert len(BAD_MUTATIONS) >= 50
 
     @pytest.mark.parametrize("path,value", BAD_MUTATIONS,
-                             ids=[f"{p}={v!r}" for p, v in BAD_MUTATIONS])
+                             ids=[f"{p}={_short_repr(v)}" for p, v in BAD_MUTATIONS])
     def test_mutations_rejected(self, path, value):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(mutate(path, value))
@@ -203,6 +216,18 @@ class TestCli:
         assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.splitlines() == ["config error: config field 'time.t_end': must be finite"]
+
+    @pytest.mark.parametrize("path,value,field", [
+        ("nu", 10**400, "nu"),
+        ("graph", {"kind": "uniform", "n": 8, "w_bar": math.nan}, "graph.w_bar"),
+    ], ids=["nu=400 digits", "w_bar=NaN"])
+    def test_unrepresentable_number_exit_code(self, path, value, field, tmp_path, capsys):
+        # json reads a 400-digit literal as an int no float can hold, and NaN as a float
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps(mutate(path, value)))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"config error: config field '{field}': must be finite"]
 
     def test_cfl_violation_exit_code(self, tmp_path):
         doc = copy.deepcopy(GOLDEN)
@@ -357,3 +382,68 @@ class TestCli:
         assert magic == b"NXMF" and version == 1 and order == 3 and g == 16
         vals = np.frombuffer(raw[16:], dtype="<f8")
         assert vals.size == g**order
+
+
+def reference_csv(header, rows) -> str:
+    """The row-by-row CSV text `Emitter.write_csv` produced before it took
+    columns, kept as the byte-level reference for the columnar writer."""
+
+    def field(v) -> str:
+        if isinstance(v, float):
+            return "{:.17g}".format(v)
+        s = str(v)
+        if "," in s or '"' in s:
+            s = '"' + s.replace('"', '""') + '"'
+        return s
+
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(field(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestWriteCsv:
+    FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 0.1, 1e308,
+              -0.0, 0.1, 0.0, -5e-324]
+    N = len(FLOATS)
+
+    def columns(self):
+        ints = [0, -1, 7, 2**62, -(2**63), 3] * 3
+        names = ["-", "-,1", 'say "hi"', '-,"1"', "plain"] * 3
+        return [
+            np.array(self.FLOATS),                      # float64, repeated bit patterns
+            np.array(ints[: self.N], dtype=np.int64),
+            ints[: self.N - 1] + [10**20],              # Python ints, one beyond int64
+            tuple(np.float64(v) for v in self.FLOATS[::-1]),   # numpy scalars, not an array
+            names[: self.N],
+            np.array(names[: self.N]),                  # numpy str array
+            np.linspace(-6.0, 6.0, 2 * self.N)[::2],    # a strided float64 view
+        ]
+
+    def written(self, tmp_path, columns, header=None):
+        header = header or [f"c{i}" for i in range(len(columns))]
+        em = cli.Emitter(tmp_path)
+        em.write_csv("t.csv", header, columns)
+        got = (tmp_path / "t.csv").read_bytes()
+        assert em.digests["t.csv"] == hashlib.sha256(got).hexdigest()
+        return got, header
+
+    @pytest.mark.parametrize("chunk", [1, 3, cli.CSV_CHUNK_ROWS])
+    def test_bytes_match_row_reference(self, chunk, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
+        columns = self.columns()
+        got, header = self.written(tmp_path, columns)
+        assert got == reference_csv(header, zip(*columns)).encode()
+        text = got.decode()
+        assert "-0," in text and ",0," in text and "nan" in text and "-inf" in text
+        assert '"-,1"' in text and '"say ""hi"""' in text
+
+    def test_no_rows_writes_header(self, tmp_path):
+        got, header = self.written(tmp_path, [np.array([]), []], header=["a", "b"])
+        assert got == reference_csv(header, []).encode() == b"a,b\n"
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="equal length"):
+            self.written(tmp_path, [np.zeros(3), [1, 2]])
+        with pytest.raises(ValueError, match="equal length"):
+            self.written(tmp_path, [np.zeros(3)], header=["a", "b"])
