@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, seeding
-from .config import ConfigError, ExperimentConfig, canonical_json
+from .config import SEED_MAX, ExperimentConfig, canonical_json, check_number
 from .metrics import GapReport, independence_gap, meanfield_gap
 from .observables import (
     LatticeBudgetError,
@@ -34,12 +34,14 @@ from .observables import (
 )
 from .particles import StabilityError, integrate
 from .pde import CFLError, solve
-from .rearrange import CellFunctions, build_phi, fit_modulus_constant, modulus, n_pieces, save_permutation
+from .rearrange import CellFunctions, build_phi, fit_modulus_constant, modulus, save_permutation
 from .trees import enumerate_trees
 from .weights import check_scaling
 
 FLOAT_FMT = "{:.17g}"
 CSV_CHUNK_ROWS = 1 << 12      # rows per write: bounds memory; 2^14 was no faster
+HASH_BLOCK = 1 << 20          # files are hashed in blocks, so memory does not grow with size
+PARTICLE_DT = 0.01            # particle step when the config gives no time.dt
 
 
 def _fmt(v) -> str:
@@ -75,7 +77,11 @@ class Emitter:
         self.digests: dict[str, str] = {}
 
     def register_file(self, path: Path):
-        self.digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            while block := fh.read(HASH_BLOCK):
+                digest.update(block)
+        self.digests[path.name] = digest.hexdigest()
 
     def write_text(self, name: str, text: str):
         path = self.out_dir / name
@@ -149,12 +155,10 @@ def _gap_columns(reports: list[GapReport]):
 
 def cmd_simulate(cfg: ExperimentConfig, em: Emitter, seed: int):
     w = cfg.build_weights()
-    k = cfg.build_kernel()
     laws = cfg.build_laws(w.n_agents)
-    t_end = float(cfg.time["t_end"])
-    snaps = sorted(float(s) for s in cfg.time.get("snapshots", [t_end]))
-    dt = float(cfg.time.get("dt", 0.01))
-    traj = integrate(w, k, laws.sample_replicas(seed, 1), snaps, dt, cfg.sigma, seed)[:, 0]
+    snaps = cfg.snapshots
+    traj = integrate(w, cfg.kernel, laws.sample_replicas(seed, 1), snaps, cfg.dt or PARTICLE_DT,
+                     cfg.sigma, seed)[:, 0]
     n_snaps, n_agents, d = traj.shape
     columns = [np.repeat(snaps, n_agents), np.tile(np.arange(1, n_agents + 1), n_snaps)]
     columns += [traj[..., j].ravel() for j in range(d)]
@@ -171,20 +175,14 @@ def cmd_simulate(cfg: ExperimentConfig, em: Emitter, seed: int):
 
 def _solve_from_config(cfg: ExperimentConfig):
     w = cfg.build_weights()
-    k = cfg.build_kernel()
-    grid = cfg.build_grid()
-    laws = cfg.build_laws(w.n_agents)
-    f0 = laws.fibers(grid)
-    t_end = float(cfg.time["t_end"])
-    snaps = sorted(float(s) for s in cfg.time.get("snapshots", [t_end]))
-    dt = cfg.time.get("dt")
-    res = solve(f0, w, k, nu=cfg.nu, t_end=t_end, output_times=snaps,
-                dt=float(dt) if dt else None)
-    return w, k, grid, res
+    f0 = cfg.build_laws(w.n_agents).fibers(cfg.grid)
+    return w, solve(f0, w, cfg.kernel, nu=cfg.nu, t_end=cfg.t_end, output_times=cfg.snapshots,
+                    dt=cfg.dt)
 
 
 def cmd_solve(cfg: ExperimentConfig, em: Emitter, seed: int):
-    w, k, grid, res = _solve_from_config(cfg)
+    w, res = _solve_from_config(cfg)
+    grid = cfg.grid
     n_snaps, n_fibers, g_cells = len(res.snapshots), res.final.n_fibers, grid.n_cells
     per_snap = n_fibers * g_cells
     em.write_csv("density.csv", ["t", "fiber", "cell", "x_center", "value"], [
@@ -194,7 +192,7 @@ def cmd_solve(cfg: ExperimentConfig, em: Emitter, seed: int):
         np.tile(grid.centers(), n_snaps * n_fibers),
         np.concatenate([snap.values.ravel() for snap in res.snapshots]),
     ])
-    if cfg.raw.get("output", {}).get("binary_density"):
+    if cfg.binary_density:
         for i, snap in enumerate(res.snapshots):
             em.write_density_bin(f"density_{i:03d}.bin", snap)
     final = res.final
@@ -211,9 +209,8 @@ def cmd_solve(cfg: ExperimentConfig, em: Emitter, seed: int):
 
 
 def cmd_observe(cfg: ExperimentConfig, em: Emitter, seed: int):
-    w, k, grid, res = _solve_from_config(cfg)
-    n_max = int(cfg.observables.get("n_max", 2))
-    lam = float(cfg.observables.get("lambda", 1.0))
+    w, res = _solve_from_config(cfg)
+    grid, n_max, lam = cfg.grid, cfg.n_max, cfg.lam
     mid = res.snapshots[len(res.snapshots) // 2]
     h = hierarchy(w, mid, n_max=n_max, lam=lam)
 
@@ -232,7 +229,7 @@ def cmd_observe(cfg: ExperimentConfig, em: Emitter, seed: int):
         else:
             em.write_lattice(f"tau_{name.replace(',', '_')}.bin", t.order, grid.n_cells, ob.values)
     em.write_csv("hierarchy_norms.csv", ["tree", "order", "l2", "sup"], list(zip(*norm_rows)))
-    admissible, threshold = lambda_admissible(lam, w, mid, k, t_star=float(cfg.time["t_end"]))
+    admissible, threshold = lambda_admissible(lam, w, mid, cfg.kernel, t_star=cfg.t_end)
     em.write_json("hierarchy_norm.json", {
         "lambda": lam, "n_max": n_max, "norm_truncated_lower_bound": hierarchy_norm(h),
         "lambda_admissible": admissible, "sqrt_lambda_threshold": threshold,
@@ -244,19 +241,14 @@ def cmd_observe(cfg: ExperimentConfig, em: Emitter, seed: int):
             if order > n_max:
                 continue
             for t in enumerate_trees(order):
-                rep = hierarchy_residual(t, w, res.snapshots, k, nu=cfg.nu)
+                rep = hierarchy_residual(t, w, res.snapshots, cfg.kernel, nu=cfg.nu)
                 rows.append((t.to_text(), order, rep.value, rep.dt, rep.dx))
         em.write_csv("hierarchy_residuals.csv", ["tree", "order", "l1_residual", "dt", "dx"],
                      list(zip(*rows)))
 
 
 def cmd_rearrange(cfg: ExperimentConfig, em: Emitter, seed: int):
-    ra = cfg.rearrange
-    levels = int(ra.get("levels", 3))
-    # default: the squared piece count (the natural scale of the modulus
-    # bound) capped so high level counts stay tractable
-    default_cells = n_pieces(levels) * max(1, 4096 // n_pieces(levels))
-    cells = int(ra.get("cells", default_cells))
+    levels, cells = cfg.levels, cfg.cells
     rng = seeding.stream(seed, seeding.GRAPH, levels)
     vals = np.empty((levels, cells))
     for m in range(1, levels + 1):
@@ -279,18 +271,12 @@ def cmd_rearrange(cfg: ExperimentConfig, em: Emitter, seed: int):
 
 def cmd_convergence(cfg: ExperimentConfig, em: Emitter, seed: int):
     w = cfg.build_weights()
-    k = cfg.build_kernel()
-    grid = cfg.build_grid()
-    laws = cfg.build_laws(w.n_agents)
-    t_end = float(cfg.time["t_end"])
-    snaps = sorted(float(s) for s in cfg.time.get("snapshots", [t_end]))
-    dt = float(cfg.time.get("dt", 0.01))
-
-    rep = independence_gap(w, k, laws, grid, t_end, dt, seed,
+    laws, dt = cfg.build_laws(w.n_agents), cfg.dt or PARTICLE_DT
+    rep = independence_gap(w, cfg.kernel, laws, cfg.grid, cfg.t_end, dt, seed,
                            n_replicas=max(100, cfg.replicas), sigma=cfg.sigma)
     em.write_csv("independence_gap.csv", ["t", "gap", "bound", "stderr", "seeds"],
                  _gap_columns([rep]))
-    reports = meanfield_gap(w, k, laws, grid, snaps, dt, seed,
+    reports = meanfield_gap(w, cfg.kernel, laws, cfg.grid, cfg.snapshots, dt, seed,
                             n_seeds=max(2, cfg.replicas), sigma=cfg.sigma)
     em.write_csv("meanfield_gap.csv", ["t", "gap", "bound", "stderr", "seeds"],
                  _gap_columns(reports))
@@ -322,14 +308,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = ExperimentConfig.from_file(args.config)
-        if args.threads is not None and args.threads < 1:
-            raise ConfigError("threads", "must be >= 1")
-        em = Emitter(Path(args.out) if args.out else Path(cfg.out_dir))
-    except (ConfigError, OSError) as exc:     # OSError: unreadable config or output directory
+        seed, threads = cfg.seed, cfg.threads
+        if args.seed is not None:
+            seed = check_number(args.seed, "--seed", lo=0, hi=SEED_MAX, integer=True)
+        if args.threads is not None:
+            threads = check_number(args.threads, "--threads", lo=1, integer=True)
+        em = Emitter(Path(args.out or cfg.out_dir))
+    except (ValueError, OSError) as exc:     # ConfigError, an undecodable config, or an unusable path
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    seed = args.seed if args.seed is not None else cfg.seed
-    threads = args.threads if args.threads is not None else cfg.threads
     try:
         COMMANDS[args.command](cfg, em, seed)
     except (ValueError, LatticeBudgetError) as exc:     # ConfigError is a ValueError

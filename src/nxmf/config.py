@@ -1,8 +1,13 @@
 """Experiment configuration: one JSON document drives every subcommand.
 
-The document is key/value with nesting and round-trips losslessly through
-its canonical text form (sorted keys, 17-digit floats).  Validation errors
-carry the dotted field path; JSON syntax errors already carry line/column.
+`ExperimentConfig.from_dict` parses the document once.  Each field is
+checked, converted and defaulted in the one function that reads it, and
+the config stores what the subcommands use: plain numbers, the built
+kernel and grid, the sorted snapshot times, and builders for the weight
+matrix and the initial laws.  Errors carry the dotted field path; JSON
+syntax errors carry line and column.  The document itself is kept
+untouched in `raw`, which round-trips losslessly through its canonical
+text form (sorted keys, 17-digit floats).
 """
 
 from __future__ import annotations
@@ -10,14 +15,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from .kernels import PRESETS, Kernel
 from .metrics import AgentLawSpec
 from .pde import Grid1D
+from .rearrange import n_pieces
 from .weights import SparseWeights, gen_class_permutation, gen_from_graphon, gen_uniform, load_edge_list
+
+SEED_MAX = 2**64 - 1       # the master seed is a 64-bit unsigned integer
 
 
 class ConfigError(ValueError):
@@ -27,59 +35,200 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{path}': {message}")
 
 
-def _need(d: dict, key: str, path: str):
-    if key not in d:
-        raise ConfigError(f"{path}.{key}" if path else key, "missing required field")
-    return d[key]
-
-
-def _typed(value, types, path, what):
-    if not isinstance(value, types):
-        raise ConfigError(path, f"must be {what}")
-    return value
-
-
-def _number(d, key, path, lo=None, hi=None, default=None, integer=False):
-    field_path = f"{path}.{key}" if path else key
-    if key not in d:
-        if default is not None:
-            return default
-        raise ConfigError(field_path, "missing required field")
-    v = d[key]
+def check_number(v, path: str, lo=None, hi=None, integer=False, positive=False):
+    """`v` as a finite float, or as an int when `integer`, within the bounds;
+    otherwise a ConfigError naming `path`."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(field_path, "must be a number")
+        raise ConfigError(path, "must be a number")
     if not integer:
         try:
             v = float(v)
         except OverflowError:       # an integer literal beyond the float range
-            raise ConfigError(field_path, "must be finite") from None
+            raise ConfigError(path, "must be finite") from None
     if isinstance(v, float) and not math.isfinite(v):
-        raise ConfigError(field_path, "must be finite")
+        raise ConfigError(path, "must be finite")
     if integer and int(v) != v:
-        raise ConfigError(field_path, "must be an integer")
+        raise ConfigError(path, "must be an integer")
     if lo is not None and v < lo:
-        raise ConfigError(field_path, f"must be >= {lo}")
+        raise ConfigError(path, f"must be >= {lo}")
     if hi is not None and v > hi:
-        raise ConfigError(field_path, f"must be <= {hi}")
+        raise ConfigError(path, f"must be <= {hi}")
+    if positive and not v > 0:
+        raise ConfigError(path, "must be > 0")
     return int(v) if integer else v
+
+
+def _nonempty_list(v, path: str, what: str) -> list:
+    if not isinstance(v, list) or not v:
+        raise ConfigError(path, f"must be a non-empty list of {what}")
+    return v
+
+
+class _Fields:
+    """One JSON object of the config, read field by field; a field with no
+    default is required, and every error names the field's dotted path."""
+
+    def __init__(self, d, path: str = ""):
+        if not isinstance(d, dict):
+            raise ConfigError(path, "must be an object")
+        self.d, self.path = d, path
+
+    def name(self, key: str) -> str:
+        return f"{self.path}.{key}" if self.path else key
+
+    def get(self, key: str, default=None):
+        if key in self.d:
+            return self.d[key]
+        if default is None:
+            raise ConfigError(self.name(key), "missing required field")
+        return default
+
+    def section(self, key: str, default=None) -> "_Fields":
+        return _Fields(self.get(key, default), self.name(key))
+
+    def number(self, key: str, default=None, **bounds):
+        return check_number(self.get(key, default), self.name(key), **bounds)
+
+    def of_type(self, key: str, kind: type, what: str, default=None):
+        v = self.get(key, default)
+        if not isinstance(v, kind):
+            raise ConfigError(self.name(key), f"must be {what}")
+        return v
+
+    def choice(self, key: str, options, default=None) -> str:
+        v = self.get(key, default)
+        if v not in options:
+            names = [repr(o) for o in options]
+            raise ConfigError(self.name(key), f"must be {', '.join(names[:-1])} or {names[-1]}")
+        return v
+
+
+def _weights(g: _Fields, seed: int) -> Callable[[], SparseWeights]:
+    """Check the graph section; return a builder of its weight matrix."""
+    kind = g.choice("kind", ("uniform", "class_permutation", "graphon_product", "edge_list"))
+    if kind == "edge_list":
+        path = g.of_type("path", str, "a string")
+
+        def load():
+            try:
+                return load_edge_list(path)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(g.name("path"), f"cannot load edge list: {exc}") from exc
+        return load
+    n = g.number("n", lo=1, integer=True)
+    if kind == "uniform":
+        w_bar = g.number("w_bar", default=1.0)
+        diagonal = g.of_type("include_diagonal", bool, "true or false", default=False)
+        return lambda: gen_uniform(n, w_bar, diagonal)
+    if kind == "graphon_product":
+        scale = g.number("scale", default=1.0)
+        mode = g.choice("mode", ("midpoint", "bernoulli"), default="midpoint")
+        return lambda: gen_from_graphon(n, lambda x, z: scale * x * z, rng_seed=seed, mode=mode)
+    m = g.number("m", lo=1, integer=True)
+    if n % m != 0:
+        raise ConfigError(g.name("m"), f"must divide n={n}")
+    n_cls = n // m
+    perm = g.get("perm", "identity")
+    if perm == "identity":
+        perm = list(range(1, n_cls + 1))
+    elif perm == "cycle":
+        perm = [k % n_cls + 1 for k in range(1, n_cls + 1)]
+    elif not (isinstance(perm, list) and all(type(p) is int for p in perm)
+              and sorted(perm) == list(range(1, n_cls + 1))):
+        raise ConfigError(g.name("perm"), f"must be 'identity', 'cycle' or a bijection on 1..{n_cls}")
+    return lambda: gen_class_permutation(n, m, perm)
+
+
+def _laws(ik: _Fields) -> Callable[[int], AgentLawSpec]:
+    """Check the init section; return a builder of the initial laws of n agents."""
+    if ik.choice("kind", ("spread", "fibers"), default="spread") == "spread":
+        lo, hi = ik.number("mean_lo"), ik.number("mean_hi")
+        std = ik.number("std", positive=True)
+        return lambda n: AgentLawSpec.spread(n, lo, hi, std)
+    mixes = []
+    for i, mix in enumerate(_nonempty_list(ik.get("fibers"), ik.name("fibers"), "mixtures")):
+        path = f"{ik.name('fibers')}[{i}]"
+        comps = [_Fields(c, f"{path}[{j}]")
+                 for j, c in enumerate(_nonempty_list(mix, path, "components"))]
+        mixes.append([(c.number("mean"), c.number("std", positive=True),
+                       c.number("weight", lo=0.0, default=1.0)) for c in comps])
+
+    def build(n: int) -> AgentLawSpec:
+        if len(mixes) != n:
+            raise ConfigError(ik.name("fibers"), f"expected {n} fibers, got {len(mixes)}")
+        n_comp = max(map(len, mixes))
+        means, stds, weights = np.zeros((n, n_comp)), np.ones((n, n_comp)), np.zeros((n, n_comp))
+        for i, mix in enumerate(mixes):
+            for j, comp in enumerate(mix):
+                means[i, j], stds[i, j], weights[i, j] = comp
+        return AgentLawSpec(means=means, stds=stds, weights=weights)
+    return build
+
+
+def _kernel(kr: _Fields) -> Kernel:
+    if kr.get("preset") == "hodgkin_huxley":
+        raise ConfigError(kr.name("preset"), "hodgkin_huxley is particle-only and needs "
+                          "programmatic rate functions; use the library API")
+    preset = kr.choice("preset", [p for p in PRESETS if p != "hodgkin_huxley"])
+    params = {k: check_number(v, kr.name(k)) for k, v in kr.d.items() if k != "preset"}
+    try:
+        return PRESETS[preset](**params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(kr.path, str(exc)) from exc
+
+
+def _grid(gr: _Fields) -> Grid1D:
+    x_min, x_max = gr.number("x_min"), gr.number("x_max")
+    if x_max <= x_min:
+        raise ConfigError(gr.name("x_max"), f"must exceed {gr.name('x_min')}")
+    return Grid1D(x_min, x_max, gr.number("cells", lo=8, integer=True),
+                  gr.choice("topology", ("line", "torus"), default="line"))
+
+
+def _snapshots(tm: _Fields, t_end: float) -> list[float]:
+    path = tm.name("snapshots")
+    snaps = [check_number(s, f"{path}[{i}]", lo=0.0, hi=t_end)
+             for i, s in enumerate(_nonempty_list(tm.get("snapshots", [t_end]), path, "times"))]
+    if len(set(snaps)) < len(snaps):
+        raise ConfigError(path, "must not repeat a time")
+    return sorted(snaps)
+
+
+def _cells(ra: _Fields, levels: int) -> int:
+    pieces = n_pieces(levels)
+    # default: the largest multiple of the piece count up to 4096 cells,
+    # or one cell per piece when the pieces are more
+    cells = ra.number("cells", lo=2, integer=True, default=pieces * max(1, 4096 // pieces))
+    if cells % pieces != 0:
+        raise ConfigError(ra.name("cells"),
+                          f"must be a multiple of 2^(levels(levels+1)/2) = {pieces}")
+    return cells
 
 
 @dataclass
 class ExperimentConfig:
+    """A parsed config.  `raw` is the document as read; the other fields are
+    its checked values, with every default applied."""
+
     raw: dict = field(repr=False)
-    graph: dict
-    kernel: dict
-    init: dict
-    grid: dict
-    time: dict
+    build_weights: Callable[[], SparseWeights] = field(repr=False)
+    build_laws: Callable[[int], AgentLawSpec] = field(repr=False)
+    kernel: Kernel
+    grid: Grid1D
+    t_end: float
+    snapshots: list[float]     # sorted; [t_end] when absent
+    dt: float | None           # None when absent
     nu: float
     sigma: float
     seed: int
     replicas: int
-    observables: dict
-    rearrange: dict
+    threads: int
+    n_max: int
+    lam: float
+    levels: int
+    cells: int
+    binary_density: bool
     out_dir: str
-    threads: int = 1
 
     # ---- construction -------------------------------------------------
 
@@ -100,189 +249,35 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        graph = _typed(_need(raw, "graph", ""), dict, "graph", "an object")
-        kernel = _typed(_need(raw, "kernel", ""), dict, "kernel", "an object")
-        init = _typed(raw.get("init", {"kind": "spread", "mean_lo": -1.0, "mean_hi": 1.0, "std": 0.5}),
-                      dict, "init", "an object")
-        grid = _typed(raw.get("grid", {"x_min": -6.0, "x_max": 6.0, "cells": 128,
-                                       "topology": "line"}), dict, "grid", "an object")
-        time = _typed(raw.get("time", {"t_end": 1.0, "snapshots": [1.0]}), dict, "time", "an object")
-        cfg = cls(
+        top = _Fields(raw)
+        seed = top.number("seed", lo=0, hi=SEED_MAX, default=0, integer=True)
+        tm = top.section("time", {"t_end": 1.0})
+        t_end = tm.number("t_end", lo=0.0)
+        ob = top.section("observables", {})
+        ra = top.section("rearrange", {})
+        levels = ra.number("levels", lo=1, hi=6, default=3, integer=True)
+        return cls(
             raw=raw,
-            graph=graph,
-            kernel=kernel,
-            init=init,
-            grid=grid,
-            time=time,
-            nu=_number(raw, "nu", "", lo=0.0, default=0.0),
-            sigma=_number(raw, "sigma", "", lo=0.0, default=0.0),
-            seed=_number(raw, "seed", "", lo=0, default=0, integer=True),
-            replicas=_number(raw, "replicas", "", lo=1, default=1, integer=True),
-            observables=_typed(raw.get("observables", {"n_max": 2, "lambda": 1.0}),
-                               dict, "observables", "an object"),
-            rearrange=_typed(raw.get("rearrange", {}), dict, "rearrange", "an object"),
-            out_dir=raw.get("out_dir", "out"),
-            threads=_number(raw, "threads", "", lo=1, default=1, integer=True),
+            build_weights=_weights(top.section("graph"), seed),
+            build_laws=_laws(top.section("init", {"mean_lo": -1.0, "mean_hi": 1.0, "std": 0.5})),
+            kernel=_kernel(top.section("kernel")),
+            grid=_grid(top.section("grid", {"x_min": -6.0, "x_max": 6.0, "cells": 128})),
+            t_end=t_end,
+            snapshots=_snapshots(tm, t_end),
+            dt=tm.number("dt", positive=True) if "dt" in tm.d else None,
+            nu=top.number("nu", lo=0.0, default=0.0),
+            sigma=top.number("sigma", lo=0.0, default=0.0),
+            seed=seed,
+            replicas=top.number("replicas", lo=1, default=1, integer=True),
+            threads=top.number("threads", lo=1, default=1, integer=True),
+            n_max=ob.number("n_max", lo=1, hi=4, default=2, integer=True),
+            lam=ob.number("lambda", default=1.0, positive=True),
+            levels=levels,
+            cells=_cells(ra, levels),
+            binary_density=top.section("output", {}).of_type("binary_density", bool,
+                                                             "true or false", default=False),
+            out_dir=top.of_type("out_dir", str, "a string", default="out"),
         )
-        cfg.validate()
-        return cfg
-
-    # ---- validation ----------------------------------------------------
-
-    def validate(self):
-        g = self.graph
-        kind = _need(g, "kind", "graph")
-        if kind not in ("uniform", "class_permutation", "graphon_product", "edge_list"):
-            raise ConfigError("graph.kind", f"unknown generator {kind!r}")
-        if kind in ("uniform", "class_permutation", "graphon_product"):
-            _number(g, "n", "graph", lo=1, integer=True)
-        if kind == "uniform":
-            _number(g, "w_bar", "graph", default=1.0)
-        if kind == "graphon_product":
-            _number(g, "scale", "graph", default=1.0)
-        if kind == "class_permutation":
-            n = _number(g, "n", "graph", lo=1, integer=True)
-            m = _number(g, "m", "graph", lo=1, integer=True)
-            if n % m != 0:
-                raise ConfigError("graph.m", f"must divide n={n}")
-            perm = g.get("perm", "identity")
-            if isinstance(perm, str):
-                if perm not in ("identity", "cycle"):
-                    raise ConfigError("graph.perm", "must be 'identity', 'cycle' or a list")
-            elif isinstance(perm, list):
-                if sorted(perm) != list(range(1, n // m + 1)):
-                    raise ConfigError("graph.perm", f"must be a bijection on 1..{n // m}")
-            else:
-                raise ConfigError("graph.perm", "must be 'identity', 'cycle' or a list")
-        if kind == "edge_list":
-            _need(g, "path", "graph")
-
-        kr = self.kernel
-        preset = _need(kr, "preset", "kernel")
-        if preset not in PRESETS:
-            raise ConfigError("kernel.preset", f"unknown preset {preset!r}; "
-                              f"known: {sorted(PRESETS)}")
-        if preset == "hodgkin_huxley":
-            raise ConfigError("kernel.preset",
-                              "hodgkin_huxley is particle-only and needs programmatic "
-                              "rate functions; use the library API")
-        try:
-            self.build_kernel()
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("kernel", str(exc)) from exc
-
-        ik = self.init
-        ikind = ik.get("kind", "spread")
-        if ikind == "spread":
-            _number(ik, "mean_lo", "init")
-            _number(ik, "mean_hi", "init")
-            if _number(ik, "std", "init", lo=0.0) <= 0:
-                raise ConfigError("init.std", "must be > 0")
-        elif ikind == "fibers":
-            fl = ik.get("fibers")
-            if not isinstance(fl, list) or not fl:
-                raise ConfigError("init.fibers", "must be a non-empty list of mixtures")
-            for i, mix in enumerate(fl):
-                if not isinstance(mix, list) or not mix:
-                    raise ConfigError(f"init.fibers[{i}]", "must be a non-empty list of components")
-                for j, comp in enumerate(mix):
-                    _number(comp, "mean", f"init.fibers[{i}][{j}]")
-                    if _number(comp, "std", f"init.fibers[{i}][{j}]", lo=0.0) <= 0:
-                        raise ConfigError(f"init.fibers[{i}][{j}].std", "must be > 0")
-                    _number(comp, "weight", f"init.fibers[{i}][{j}]", lo=0.0, default=1.0)
-        else:
-            raise ConfigError("init.kind", "must be 'spread' or 'fibers'")
-
-        gr = self.grid
-        _number(gr, "x_min", "grid")
-        _number(gr, "x_max", "grid")
-        if gr["x_max"] <= gr["x_min"]:
-            raise ConfigError("grid.x_max", "must exceed grid.x_min")
-        _number(gr, "cells", "grid", lo=8, integer=True)
-        if gr.get("topology", "line") not in ("line", "torus"):
-            raise ConfigError("grid.topology", "must be 'line' or 'torus'")
-
-        tm = self.time
-        t_end = _number(tm, "t_end", "time", lo=0.0)
-        snaps = tm.get("snapshots", [t_end])
-        if not isinstance(snaps, list):
-            raise ConfigError("time.snapshots", "must be a list of times")
-        for i, s in enumerate(snaps):
-            if isinstance(s, bool) or not isinstance(s, (int, float)):
-                raise ConfigError(f"time.snapshots[{i}]", "must be a number")
-            if not 0 <= s <= t_end:        # also rejects NaN
-                raise ConfigError(f"time.snapshots[{i}]", "must lie in [0, t_end]")
-        if len(set(snaps)) < len(snaps):
-            raise ConfigError("time.snapshots", "must not repeat a time")
-        if "dt" in tm and _number(tm, "dt", "time", lo=0.0) <= 0:
-            raise ConfigError("time.dt", "must be > 0")
-
-        ob = self.observables
-        _number(ob, "n_max", "observables", lo=1, hi=4, integer=True, default=2)
-        if _number(ob, "lambda", "observables", lo=0.0, default=1.0) <= 0:
-            raise ConfigError("observables.lambda", "must be > 0")
-
-        ra = self.rearrange
-        if ra:
-            levels = _number(ra, "levels", "rearrange", lo=1, hi=6, integer=True, default=3)
-            cells = _number(ra, "cells", "rearrange", lo=2, integer=True, default=0)
-            if cells:
-                pieces = 1 << (levels * (levels + 1) // 2)
-                if cells % pieces != 0:
-                    raise ConfigError("rearrange.cells",
-                                      f"must be a multiple of 2^(levels(levels+1)/2) = {pieces}")
-
-    # ---- realized objects ----------------------------------------------
-
-    def build_weights(self) -> SparseWeights:
-        g = self.graph
-        kind = g["kind"]
-        if kind == "uniform":
-            return gen_uniform(int(g["n"]), float(g.get("w_bar", 1.0)),
-                               bool(g.get("include_diagonal", False)))
-        if kind == "class_permutation":
-            n, m = int(g["n"]), int(g["m"])
-            perm = g.get("perm", "identity")
-            n_cls = n // m
-            if perm == "identity":
-                perm = list(range(1, n_cls + 1))
-            elif perm == "cycle":
-                perm = [k % n_cls + 1 for k in range(1, n_cls + 1)]
-            return gen_class_permutation(n, m, perm)
-        if kind == "graphon_product":
-            scale = float(g.get("scale", 1.0))
-            return gen_from_graphon(int(g["n"]), lambda x, z: scale * x * z,
-                                    rng_seed=self.seed, mode=g.get("mode", "midpoint"))
-        return load_edge_list(g["path"])
-
-    def build_kernel(self) -> Kernel:
-        kr = dict(self.kernel)
-        preset = kr.pop("preset")
-        return PRESETS[preset](**{k: v for k, v in kr.items()})
-
-    def build_grid(self) -> Grid1D:
-        gr = self.grid
-        return Grid1D(float(gr["x_min"]), float(gr["x_max"]), int(gr["cells"]),
-                      gr.get("topology", "line"))
-
-    def build_laws(self, n: int) -> AgentLawSpec:
-        ik = self.init
-        if ik.get("kind", "spread") == "spread":
-            return AgentLawSpec.spread(n, float(ik["mean_lo"]), float(ik["mean_hi"]),
-                                       float(ik["std"]))
-        fibers = ik["fibers"]
-        if len(fibers) != n:
-            raise ConfigError("init.fibers", f"expected {n} fibers, got {len(fibers)}")
-        n_comp = max(len(mix) for mix in fibers)
-        means = np.zeros((n, n_comp))
-        stds = np.ones((n, n_comp))
-        weights = np.zeros((n, n_comp))
-        for i, mix in enumerate(fibers):
-            for j, comp in enumerate(mix):
-                means[i, j] = comp["mean"]
-                stds[i, j] = comp["std"]
-                weights[i, j] = comp.get("weight", 1.0)
-        return AgentLawSpec(means=means, stds=stds, weights=weights)
 
     # ---- canonical text -------------------------------------------------
 

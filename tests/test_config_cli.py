@@ -2,9 +2,11 @@ import copy
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nxmf import cli
 from nxmf.cli import main
@@ -31,9 +33,9 @@ def _short_repr(v) -> str:
     return r if len(r) <= 60 else f"{r[:12]}...<{len(r)} chars>"
 
 
-def mutate(path, value):
+def mutate(path, value, base=GOLDEN):
     """Return a deep copy of the golden config with one field replaced."""
-    doc = copy.deepcopy(GOLDEN)
+    doc = copy.deepcopy(base)
     node = doc
     *keys, last = path.split(".")
     for k in keys:
@@ -118,7 +120,48 @@ BAD_MUTATIONS = [
     ("rearrange.levels", 9),
     ("rearrange.cells", 1),
     ("rearrange.cells", 65),   # not a multiple of the level-2 piece count
+    ("graph", {"kind": "uniform", "n": 8, "include_diagonal": "false"}),
+    ("graph", {"kind": "graphon_product", "n": 8, "mode": "exact"}),
+    ("graph", {"kind": "edge_list", "path": 5}),
+    ("graph.perm", ["a", 1, 2, 3]),
+    ("kernel.preset", ["kuramoto"]),
+    ("kernel.amplitude", 10**400),
+    ("init", {"kind": "fibers", "fibers": [[5]]}),
+    ("time.snapshots", []),
+    ("output", {"binary_density": "no"}),
+    ("output", 5),
+    ("out_dir", 5),
+    ("seed", 2**64),
 ]
+
+
+# the golden config with each graph kind and with fiber initial laws
+GRAPH_VARIANTS = {
+    "class_permutation": GOLDEN,
+    "uniform": {**GOLDEN, "graph": {"kind": "uniform", "n": 8, "w_bar": 1.0,
+                                    "include_diagonal": False}},
+    "graphon_product": {**GOLDEN, "graph": {"kind": "graphon_product", "n": 8, "scale": 1.0,
+                                            "mode": "midpoint"}},
+    "edge_list": {**GOLDEN, "graph": {"kind": "edge_list", "path": "edges.txt"}},
+    "fibers": {**GOLDEN, "output": {"binary_density": True},
+               "init": {"kind": "fibers", "fibers": [[{"mean": 0.0, "std": 1.0, "weight": 1.0}]]}},
+}
+
+
+def _field_paths(doc, prefix=""):
+    for key, value in doc.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _field_paths(value, f"{prefix}{key}.")
+
+
+FIELD_PATHS = {name: sorted(_field_paths(doc)) + ["threads", "output"]
+               for name, doc in GRAPH_VARIANTS.items()}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**63)
+    | st.floats() | st.text(max_size=4) | st.sampled_from(["cycle", "identity", "bernoulli", "torus"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
 
 
 class TestConfig:
@@ -126,8 +169,8 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict(copy.deepcopy(GOLDEN))
         assert cfg.seed == 7
         assert cfg.build_weights().n_agents == 8
-        assert cfg.build_kernel().name == "linear_attraction"
-        assert cfg.build_grid().n_cells == 64
+        assert cfg.kernel.name == "linear_attraction"
+        assert cfg.grid.n_cells == 64
         assert cfg.build_laws(8).n_agents == 8
 
     def test_text_round_trip_lossless(self):
@@ -164,6 +207,28 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict(doc)
         laws = cfg.build_laws(2)
         assert laws.means[1, 1] == 2.0
+
+    def test_readme_example_config(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        text = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        assert json.loads(text) == README_CONFIG
+        cfg = ExperimentConfig.from_text(text)
+        assert (cfg.t_end, cfg.snapshots, cfg.dt, cfg.n_max, cfg.lam, cfg.levels, cfg.cells) == \
+            (1.0, [0.0, 0.5, 1.0], 0.02, 2, 1.0, 3, 4096)
+        assert (cfg.kernel.name, cfg.grid.n_cells, cfg.build_weights().n_agents) == \
+            ("linear_attraction", 256, 64)
+        assert (cfg.seed, cfg.binary_density, cfg.out_dir) == (7, False, "out")
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_json_value_parses_or_names_field(self, data):
+        base = data.draw(st.sampled_from(sorted(GRAPH_VARIANTS)))
+        path = data.draw(st.sampled_from(FIELD_PATHS[base]))
+        doc = mutate(path, data.draw(JSON_VALUES), base=GRAPH_VARIANTS[base])
+        try:
+            ExperimentConfig.from_dict(doc)
+        except ConfigError as exc:
+            assert exc.path
 
 
 README_CONFIG = {
@@ -203,6 +268,13 @@ class TestCli:
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
 
+    def test_undecodable_config_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "undecodable.json"
+        path.write_bytes(b"\xff{}")
+        assert main(["solve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+
     def test_invalid_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(mutate("grid.cells", 4)))
@@ -228,6 +300,34 @@ class TestCli:
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.splitlines() == [f"config error: config field '{field}': must be finite"]
+
+    def test_out_dir_not_a_string_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(mutate("out_dir", 5)))
+        assert main(["solve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["config error: config field 'out_dir': must be a string"]
+
+    def test_missing_edge_list_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(mutate("graph", {"kind": "edge_list",
+                                                    "path": str(tmp_path / "none.txt")})))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("bad input: [simulate] config field 'graph.path': cannot load edge list")
+
+    def test_seed_range(self, config_file, tmp_path, capsys):
+        # the config seed and --seed are both 64-bit unsigned integers
+        out = tmp_path / "o"
+        argv = ["rearrange", "--config", str(config_file), "--seed"]
+        assert main(argv + [str(2**64 - 1), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 2**64 - 1
+        for seed, message in ((2**64, "must be <= 18446744073709551615"), (-1, "must be >= 0")):
+            assert main(argv + [str(seed), "--out", str(tmp_path / "bad")]) == 2
+            err = capsys.readouterr().err
+            assert err.splitlines() == [f"config error: config field '--seed': {message}"]
+        assert not (tmp_path / "bad").exists()
 
     def test_cfl_violation_exit_code(self, tmp_path):
         doc = copy.deepcopy(GOLDEN)
@@ -437,6 +537,10 @@ class TestWriteCsv:
         text = got.decode()
         assert "-0," in text and ",0," in text and "nan" in text and "-inf" in text
         assert '"-,1"' in text and '"say ""hi"""' in text
+
+    def test_digest_read_in_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "HASH_BLOCK", 7)
+        self.written(tmp_path, self.columns())     # checks the digest against the file's bytes
 
     def test_no_rows_writes_header(self, tmp_path):
         got, header = self.written(tmp_path, [np.array([]), []], header=["a", "b"])
