@@ -11,15 +11,12 @@ from .metrics import AgentLawSpec, GapReport, Law1D, c1, c2, independence_gap, m
 from .observables import (
     HierarchyState,
     Observable,
-    TransformExpr,
-    eval_transform,
     hierarchy,
     hierarchy_norm,
     hierarchy_residual,
     tau,
     tau_at,
     tau_density,
-    tree_to_transform,
 )
 from .particles import StabilityError, integrate
 from .pde import (
@@ -35,7 +32,6 @@ from .pde import (
 from .rearrange import CellFunctions, RearrangementMap, build_phi, modulus, rearrange_pair
 from .trees import LabeledTree, T1, add_leaf, enumerate_trees
 from .weights import (
-    EmpiricalGraphon,
     ScalingReport,
     SparseWeights,
     check_scaling,

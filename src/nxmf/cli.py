@@ -154,7 +154,7 @@ def _gap_columns(reports: list[GapReport]):
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(cfg: ExperimentConfig, em: Emitter, seed: int):
-    w = cfg.build_weights()
+    w = cfg.build_weights(seed)
     laws = cfg.build_laws(w.n_agents)
     snaps = cfg.snapshots
     traj = integrate(w, cfg.kernel, laws.sample_replicas(seed, 1), snaps, cfg.dt or PARTICLE_DT,
@@ -173,15 +173,15 @@ def cmd_simulate(cfg: ExperimentConfig, em: Emitter, seed: int):
     })
 
 
-def _solve_from_config(cfg: ExperimentConfig):
-    w = cfg.build_weights()
+def _solve_from_config(cfg: ExperimentConfig, seed: int):
+    w = cfg.build_weights(seed)
     f0 = cfg.build_laws(w.n_agents).fibers(cfg.grid)
     return w, solve(f0, w, cfg.kernel, nu=cfg.nu, t_end=cfg.t_end, output_times=cfg.snapshots,
                     dt=cfg.dt)
 
 
 def cmd_solve(cfg: ExperimentConfig, em: Emitter, seed: int):
-    w, res = _solve_from_config(cfg)
+    w, res = _solve_from_config(cfg, seed)
     grid = cfg.grid
     n_snaps, n_fibers, g_cells = len(res.snapshots), res.final.n_fibers, grid.n_cells
     per_snap = n_fibers * g_cells
@@ -209,7 +209,7 @@ def cmd_solve(cfg: ExperimentConfig, em: Emitter, seed: int):
 
 
 def cmd_observe(cfg: ExperimentConfig, em: Emitter, seed: int):
-    w, res = _solve_from_config(cfg)
+    w, res = _solve_from_config(cfg, seed)
     grid, n_max, lam = cfg.grid, cfg.n_max, cfg.lam
     mid = res.snapshots[len(res.snapshots) // 2]
     h = hierarchy(w, mid, n_max=n_max, lam=lam)
@@ -270,7 +270,10 @@ def cmd_rearrange(cfg: ExperimentConfig, em: Emitter, seed: int):
 
 
 def cmd_convergence(cfg: ExperimentConfig, em: Emitter, seed: int):
-    w = cfg.build_weights()
+    """Independence gap at t_end over max(100, replicas) replicas, and the
+    mean-field gap at each snapshot over max(2, replicas) seeds; the
+    `seeds` column of each CSV records the count used."""
+    w = cfg.build_weights(seed)
     laws, dt = cfg.build_laws(w.n_agents), cfg.dt or PARTICLE_DT
     rep = independence_gap(w, cfg.kernel, laws, cfg.grid, cfg.t_end, dt, seed,
                            n_replicas=max(100, cfg.replicas), sigma=cfg.sigma)

@@ -103,13 +103,14 @@ class _Fields:
         return v
 
 
-def _weights(g: _Fields, seed: int) -> Callable[[], SparseWeights]:
-    """Check the graph section; return a builder of its weight matrix."""
+def _weights(g: _Fields) -> Callable[[int], SparseWeights]:
+    """Check the graph section; return a builder of its weight matrix from
+    the run's effective seed (only a bernoulli graph sample reads it)."""
     kind = g.choice("kind", ("uniform", "class_permutation", "graphon_product", "edge_list"))
     if kind == "edge_list":
         path = g.of_type("path", str, "a string")
 
-        def load():
+        def load(seed: int):
             try:
                 return load_edge_list(path)
             except (OSError, ValueError) as exc:
@@ -119,11 +120,12 @@ def _weights(g: _Fields, seed: int) -> Callable[[], SparseWeights]:
     if kind == "uniform":
         w_bar = g.number("w_bar", default=1.0)
         diagonal = g.of_type("include_diagonal", bool, "true or false", default=False)
-        return lambda: gen_uniform(n, w_bar, diagonal)
+        return lambda seed: gen_uniform(n, w_bar, diagonal)
     if kind == "graphon_product":
         scale = g.number("scale", default=1.0)
         mode = g.choice("mode", ("midpoint", "bernoulli"), default="midpoint")
-        return lambda: gen_from_graphon(n, lambda x, z: scale * x * z, rng_seed=seed, mode=mode)
+        return lambda seed: gen_from_graphon(n, lambda x, z: scale * x * z, rng_seed=seed,
+                                             mode=mode)
     m = g.number("m", lo=1, integer=True)
     if n % m != 0:
         raise ConfigError(g.name("m"), f"must divide n={n}")
@@ -136,7 +138,7 @@ def _weights(g: _Fields, seed: int) -> Callable[[], SparseWeights]:
     elif not (isinstance(perm, list) and all(type(p) is int for p in perm)
               and sorted(perm) == list(range(1, n_cls + 1))):
         raise ConfigError(g.name("perm"), f"must be 'identity', 'cycle' or a bijection on 1..{n_cls}")
-    return lambda: gen_class_permutation(n, m, perm)
+    return lambda seed: gen_class_permutation(n, m, perm)
 
 
 def _laws(ik: _Fields) -> Callable[[int], AgentLawSpec]:
@@ -211,7 +213,7 @@ class ExperimentConfig:
     its checked values, with every default applied."""
 
     raw: dict = field(repr=False)
-    build_weights: Callable[[], SparseWeights] = field(repr=False)
+    build_weights: Callable[[int], SparseWeights] = field(repr=False)
     build_laws: Callable[[int], AgentLawSpec] = field(repr=False)
     kernel: Kernel
     grid: Grid1D
@@ -258,7 +260,7 @@ class ExperimentConfig:
         levels = ra.number("levels", lo=1, hi=6, default=3, integer=True)
         return cls(
             raw=raw,
-            build_weights=_weights(top.section("graph"), seed),
+            build_weights=_weights(top.section("graph")),
             build_laws=_laws(top.section("init", {"mean_lo": -1.0, "mean_hi": 1.0, "std": 0.5})),
             kernel=_kernel(top.section("kernel")),
             grid=_grid(top.section("grid", {"x_min": -6.0, "x_max": 6.0, "cells": 128})),

@@ -10,13 +10,11 @@ index of every vertex:
 Evaluation never forms that m-fold sum: messages travel from the leaves to
 the root, each child contributing a sparse matrix-vector product across
 the fiber index.  The cell measure 1/N of the fiber interval cancels the N
-in the piecewise-constant graphon normalization, so the star operation is
-the raw sparse weight action -- apply no additional scaling.
+in the piecewise-constant graphon normalization, so each message crosses
+an edge by the raw sparse weight action -- apply no additional scaling.
 
-The same grammar is exposed as an explicit transform algebra (Leaf, Star,
-Tensor) whose evaluation provides a second, structurally different route
-to the same values; brute-force index summation in the tests provides a
-third.
+The reference for these values is the literal N^m index sum; that
+brute-force oracle lives in the tests.
 """
 
 from __future__ import annotations
@@ -38,118 +36,6 @@ DEFAULT_BUDGET = 1 << 26          # max entries of any fiber-by-lattice array
 
 class LatticeBudgetError(MemoryError):
     """Full-lattice evaluation would exceed the memory budget."""
-
-
-# ---------------------------------------------------------------------------
-# transform algebra
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TransformExpr:
-    """AST node of the observable grammar: 'leaf' | 'tensor' | 'star'."""
-
-    op: str
-    args: tuple = ()
-
-    def __post_init__(self):
-        if self.op == "leaf":
-            if self.args:
-                raise ValueError("leaf takes no arguments")
-        elif self.op == "tensor":
-            if len(self.args) != 2:
-                raise ValueError("tensor takes two arguments")
-        elif self.op == "star":
-            if len(self.args) != 1:
-                raise ValueError("star takes one argument")
-        else:
-            raise ValueError(f"unknown op {self.op!r}")
-
-    @property
-    def rank(self) -> int:
-        if self.op == "leaf":
-            return 1
-        if self.op == "tensor":
-            return self.args[0].rank + self.args[1].rank
-        return self.args[0].rank
-
-    def star_count(self) -> int:
-        if self.op == "leaf":
-            return 0
-        if self.op == "star":
-            return 1 + self.args[0].star_count()
-        return self.args[0].star_count() + self.args[1].star_count()
-
-
-LEAF = TransformExpr("leaf")
-
-
-def tensor(a: TransformExpr, b: TransformExpr) -> TransformExpr:
-    return TransformExpr("tensor", (a, b))
-
-
-def star(a: TransformExpr) -> TransformExpr:
-    return TransformExpr("star", (a,))
-
-
-def tree_to_transform(t: LabeledTree, child_order: str = "ascending") -> TransformExpr:
-    """Transform whose fiber average is tau(T, w, f).
-
-    Rooted recursion: F(v) = Leaf x Star(F(c_1)) x ... x Star(F(c_k)) over
-    the children of v, tensors associated left to right.  child_order
-    exists so tests can exercise structurally different but equivalent
-    expressions ('descending').
-    """
-    if t.order > TAU_ORDER_CAP:
-        raise ValueError(f"transform construction capped at order {TAU_ORDER_CAP}")
-
-    def build(v: int) -> TransformExpr:
-        expr = LEAF
-        kids = t.children(v)
-        if child_order == "descending":
-            kids = kids[::-1]
-        for c in kids:
-            expr = tensor(expr, star(build(c)))
-        return expr
-
-    return build(1)
-
-
-def transform_slots(t: LabeledTree, child_order: str = "ascending") -> list[int]:
-    """Tree vertex carried by each variable slot of tree_to_transform(t)."""
-
-    def walk(v: int) -> list[int]:
-        out = [v]
-        kids = t.children(v)
-        if child_order == "descending":
-            kids = kids[::-1]
-        for c in kids:
-            out.extend(walk(c))
-        return out
-
-    return walk(1)
-
-
-def eval_transform(expr: TransformExpr, w: SparseWeights, f: FiberedDensity,
-                   x_assignment) -> np.ndarray:
-    """Evaluate a transform at one tuple of grid cells; returns the value
-    per fiber (length n_fibers)."""
-    cells = list(x_assignment)
-    if len(cells) != expr.rank:
-        raise ValueError(f"expected {expr.rank} coordinates, got {len(cells)}")
-    vals = f.values
-    pos = 0
-
-    def rec(node: TransformExpr) -> np.ndarray:
-        nonlocal pos
-        if node.op == "leaf":
-            c = int(cells[pos])
-            pos += 1
-            return vals[:, c]
-        if node.op == "tensor":
-            return rec(node.args[0]) * rec(node.args[1])
-        return kernel_apply(w, rec(node.args[0]), side="row")
-
-    return rec(expr)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +66,7 @@ def _messages_root(t: LabeledTree, w: SparseWeights, leaf_of):
         for c in t.children(v):
             mc, vars_c = messages.pop(c)
             shape_c = mc.shape
-            smc = kernel_apply(w, mc.reshape(shape_c[0], -1), side="row").reshape(shape_c)
+            smc = kernel_apply(w, mc.reshape(shape_c[0], -1)).reshape(shape_c)
             a = msg.reshape(msg.shape[0], -1, 1)
             b = smc.reshape(shape_c[0], 1, -1)
             msg = (a * b).reshape(msg.shape[:1] + msg.shape[1:] + shape_c[1:])
@@ -243,24 +129,30 @@ def tau(t: LabeledTree, w: SparseWeights, f: FiberedDensity,
     return Observable(tree=t, grid=f.grid, values=lattice)
 
 
+def _pointwise_root(t: LabeledTree, w: SparseWeights, leaf_of) -> np.ndarray:
+    """Leaves-to-root message passing with every vertex on one shared axis.
+
+    leaf_of(v) supplies vertex v's per-fiber factor (fiber index first);
+    messages combine elementwise, adding no variable axes.  Returns the
+    root message.
+    """
+    messages: dict[int, np.ndarray] = {}
+    for v in range(t.order, 0, -1):
+        msg = leaf_of(v)
+        for c in t.children(v):
+            msg = msg * kernel_apply(w, messages.pop(c))
+        messages[v] = msg
+    return messages[1]
+
+
 def tau_at(t: LabeledTree, w: SparseWeights, f: FiberedDensity,
            cells: np.ndarray) -> np.ndarray:
     """Observable sampled at a list of x-tuples given as cell indices,
-    shape (n_points, order); memory stays O(n_fibers * n_points).
-
-    All vertices share the point axis, so messages combine elementwise
-    rather than by tensoring fresh variable axes.
-    """
+    shape (n_points, order); memory stays O(n_fibers * n_points)."""
     cells = np.asarray(cells, dtype=np.int64)
     if cells.ndim != 2 or cells.shape[1] != t.order:
         raise ValueError("cells must have shape (n_points, order)")
-    messages: dict[int, np.ndarray] = {}
-    for v in range(t.order, 0, -1):
-        msg = f.values[:, cells[:, v - 1]]
-        for c in t.children(v):
-            msg = msg * kernel_apply(w, messages.pop(c), side="row")
-        messages[v] = msg
-    return messages[1].mean(axis=0)
+    return _pointwise_root(t, w, lambda v: f.values[:, cells[:, v - 1]]).mean(axis=0)
 
 
 def tau_density(t: LabeledTree, w: SparseWeights) -> float:
@@ -270,55 +162,8 @@ def tau_density(t: LabeledTree, w: SparseWeights) -> float:
     """
     if t.order > DENSITY_ORDER_CAP:
         raise ValueError(f"density computation capped at order {DENSITY_ORDER_CAP}")
-    messages: dict[int, np.ndarray] = {}
-    for v in range(t.order, 0, -1):
-        msg = np.ones(w.n_agents)
-        for c in t.children(v):
-            msg = msg * kernel_apply(w, messages.pop(c), side="row")
-        messages[v] = msg
-    return float(messages[1].mean())
-
-
-def tau_via_transform(t: LabeledTree, w: SparseWeights, f: FiberedDensity,
-                      child_order: str = "ascending",
-                      budget: int = DEFAULT_BUDGET) -> Observable:
-    """Second route to tau: evaluate the transform algebra on the lattice.
-
-    Slower than message passing (per-point recursion); used to pin the
-    algebra and the message passing against each other.
-    """
-    _check_budget(f.n_fibers, f.grid.n_cells, t.order, budget)
-    expr = tree_to_transform(t, child_order=child_order)
-    slots = transform_slots(t, child_order=child_order)
-    g = f.grid.n_cells
-    shape = (g,) * t.order
-    out = np.empty(shape)
-    for idx in np.ndindex(shape):
-        by_slot = [idx[slots[s] - 1] for s in range(t.order)]
-        out[idx] = eval_transform(expr, w, f, by_slot).mean()
-    return Observable(tree=t, grid=f.grid, values=out)
-
-
-def tau_dense_reference(t: LabeledTree, w: SparseWeights, f: FiberedDensity) -> Observable:
-    """Third route: literal N^order index summation (oracle; tiny sizes only)."""
-    n = w.n_agents
-    dense = w.to_dense()
-    shape = (f.grid.n_cells,) * t.order
-    out = np.zeros(shape)
-    edges = t.edges()
-    for combo in np.ndindex(*(n,) * t.order):
-        coeff = 1.0
-        for (a, b) in edges:
-            coeff *= dense[combo[a - 1], combo[b - 1]]
-            if coeff == 0.0:
-                break
-        if coeff == 0.0:
-            continue
-        prof = f.values[combo[0]]
-        for v in range(1, t.order):
-            prof = np.multiply.outer(prof, f.values[combo[v]])
-        out += coeff * prof
-    return Observable(tree=t, grid=f.grid, values=out / n)
+    ones = np.ones(w.n_agents)
+    return float(_pointwise_root(t, w, lambda v: ones).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +177,6 @@ class HierarchyState:
     observables: dict[LabeledTree, Observable]
     lam: float
     n_max: int
-
-    def norm(self) -> float:
-        return hierarchy_norm(self)
 
 
 def hierarchy(w: SparseWeights, f: FiberedDensity, n_max: int, lam: float,
@@ -392,36 +234,16 @@ class ResidualReport:
 def _central_diff(arr: np.ndarray, axis: int, dx: float, periodic: bool) -> np.ndarray:
     if periodic:
         return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2 * dx)
-    out = np.empty_like(arr)
-    sl = [slice(None)] * arr.ndim
-
-    def take(s):
-        sl2 = list(sl)
-        sl2[axis] = s
-        return tuple(sl2)
-
-    out[take(slice(1, -1))] = (arr[take(slice(2, None))] - arr[take(slice(None, -2))]) / (2 * dx)
-    out[take(0)] = (arr[take(1)] - arr[take(0)]) / dx
-    out[take(-1)] = (arr[take(-1)] - arr[take(-2)]) / dx
-    return out
+    return np.gradient(arr, dx, axis=axis)     # one-sided first differences at the ends
 
 
 def _central_lap(arr: np.ndarray, axis: int, dx: float, periodic: bool) -> np.ndarray:
     if periodic:
         return (np.roll(arr, -1, axis=axis) - 2 * arr + np.roll(arr, 1, axis=axis)) / dx**2
     out = np.zeros_like(arr)
-    sl = [slice(None)] * arr.ndim
-
-    def take(s):
-        sl2 = list(sl)
-        sl2[axis] = s
-        return tuple(sl2)
-
-    out[take(slice(1, -1))] = (
-        arr[take(slice(2, None))] - 2 * arr[take(slice(1, -1))] + arr[take(slice(None, -2))]
-    ) / dx**2
-    out[take(0)] = out[take(1)]
-    out[take(-1)] = out[take(-2)]
+    a, o = np.moveaxis(arr, axis, 0), np.moveaxis(out, axis, 0)     # views: o writes out
+    o[1:-1] = (a[2:] - 2 * a[1:-1] + a[:-2]) / dx**2
+    o[0], o[-1] = o[1], o[-2]
     return out
 
 
@@ -471,30 +293,4 @@ def hierarchy_residual(t: LabeledTree, w: SparseWeights, f_series, k: Kernel,
             r = r - nu * _central_lap(tau1, axis=i - 1, dx=grid.dx, periodic=periodic)
 
     value = float(np.abs(r).sum()) * grid.dx ** t.order
-    return ResidualReport(value=value, dt=0.5 * (h1 + h2), dx=grid.dx, field=r)
-
-
-def marginal_equation_residual(f_series, w: SparseWeights, k: Kernel,
-                               nu: float = 0.0) -> ResidualReport:
-    """Independent coding of the order-1 residual straight from the fibers:
-    d/dt mean_i f_i + d/dx mean_i (f_i V_i) - nu Lap mean_i f_i."""
-    snaps = list(f_series)
-    if len(snaps) < 3:
-        raise ValueError("need at least 3 snapshots")
-    mid = len(snaps) // 2
-    f0, f1, f2 = snaps[mid - 1], snaps[mid], snaps[mid + 1]
-    h1, h2 = f1.time - f0.time, f2.time - f1.time
-    grid = f1.grid
-    periodic = grid.topology == "torus"
-    c0 = -h2 / (h1 * (h1 + h2))
-    c1 = (h2 - h1) / (h1 * h2)
-    c2 = h1 / (h2 * (h1 + h2))
-    m0, m1, m2 = (s.values.mean(axis=0) for s in (f0, f1, f2))
-    r = c0 * m0 + c1 * m1 + c2 * m2
-    vel = velocity(f1, w, k)
-    flux = (f1.values * vel).mean(axis=0)
-    r = r + _central_diff(flux, axis=0, dx=grid.dx, periodic=periodic)
-    if nu > 0:
-        r = r - nu * _central_lap(m1, axis=0, dx=grid.dx, periodic=periodic)
-    value = float(np.abs(r).sum()) * grid.dx
     return ResidualReport(value=value, dt=0.5 * (h1 + h2), dx=grid.dx, field=r)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import Kernel
-from .weights import SparseWeights, check_scaling, kernel_apply
+from .weights import SparseWeights, kernel_apply
 
 
 # fraction of the advective CFL limit an automatically chosen step takes
@@ -180,12 +180,7 @@ def velocity(f: FiberedDensity, w: SparseWeights, k: Kernel) -> np.ndarray:
     """Velocity of every fiber on the cells, shape (n_fibers, G): the weight
     matrix applied across fibers to the per-fiber kernel convolutions."""
     _check_operands(f.n_fibers, w, k)
-    return kernel_apply(w, fiber_convolution(f, k), side="row")
-
-
-def velocity_bound(f: FiberedDensity, w: SparseWeights, k: Kernel) -> float:
-    """A priori sup bound: max_row_abs_sum * |K|_inf * max fiber mass."""
-    return check_scaling(w).max_row_abs_sum * k.sup_norm * float(f.masses().max())
+    return kernel_apply(w, fiber_convolution(f, k))
 
 
 def cfl_limits(vmax: float, dx: float) -> float:
@@ -302,7 +297,7 @@ def solve(f0: FiberedDensity, w: SparseWeights, k: Kernel, nu: float,
     while state[1] < t_end - 1e-12:
         prev = state
         vals, time, leakage, clamp_total = prev
-        faces = _face_velocities(kernel_apply(w, _convolve(vals, g, kh), side="row"), g.topology)
+        faces = _face_velocities(kernel_apply(w, _convolve(vals, g, kh)), g.topology)
         vmax = float(np.abs(faces).max())
         dt_ok = cfl_limits(vmax, dx)
         limit = dt_ok if vmax != 0 or nu <= 0 else 0.25 * dx**2 / nu

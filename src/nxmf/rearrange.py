@@ -28,7 +28,6 @@ __all__ = [
     "fit_modulus_constant",
     "rearrange_pair",
     "save_permutation",
-    "load_permutation",
 ]
 
 
@@ -229,9 +228,3 @@ def save_permutation(phi: RearrangementMap, path) -> None:
     with open(path, "w") as fh:
         for p in phi.perm:
             fh.write(f"{int(p)}\n")
-
-
-def load_permutation(path, levels: int = 0) -> RearrangementMap:
-    with open(path) as fh:
-        perm = [int(line) for line in fh if line.strip()]
-    return RearrangementMap(perm=np.asarray(perm, dtype=np.int64), levels=levels)

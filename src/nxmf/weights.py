@@ -22,7 +22,6 @@ from .seeding import GRAPH, stream
 __all__ = [
     "SparseWeights",
     "ScalingReport",
-    "EmpiricalGraphon",
     "check_scaling",
     "gen_uniform",
     "gen_class_permutation",
@@ -37,8 +36,6 @@ class SparseWeights:
     """Immutable sparse N x N weight matrix with 1-based external indices.
 
     Entries are stored sorted by (row, col); duplicates are rejected.
-    Row and column adjacency views are derived from the same storage, so
-    they cannot drift out of sync.
     """
 
     def __init__(self, n_agents, rows, cols, vals, _validated=False):
@@ -73,7 +70,6 @@ class SparseWeights:
         np.add.at(self._indptr, rows + 1, 1)
         np.cumsum(self._indptr, out=self._indptr)
         self._csr = None
-        self._csc = None
         self._scaling = None
         self._transpose = None     # transpose_index(): None until computed, False if asymmetric
 
@@ -111,30 +107,12 @@ class SparseWeights:
         for r, c, v in zip(self._rows, self._cols, self._vals):
             yield int(r) + 1, int(c) + 1, float(v)
 
-    def row_entries(self, i: int) -> list[tuple[int, float]]:
-        """Adjacency of row i (1-based): list of (j, w_ij)."""
-        lo, hi = self._indptr[i - 1], self._indptr[i]
-        return [(int(c) + 1, float(v)) for c, v in zip(self._cols[lo:hi], self._vals[lo:hi])]
-
-    def col_entries(self, j: int) -> list[tuple[int, float]]:
-        """Adjacency of column j (1-based): list of (i, w_ij)."""
-        mask = self._cols == j - 1
-        return [(int(r) + 1, float(v)) for r, v in zip(self._rows[mask], self._vals[mask])]
-
     def csr(self) -> sp.csr_matrix:
         if self._csr is None:
             self._csr = sp.csr_matrix(
                 (self._vals, (self._rows, self._cols)), shape=(self.n_agents, self.n_agents)
             )
         return self._csr
-
-    def csc_t(self) -> sp.csr_matrix:
-        """Transpose as CSR (column action)."""
-        if self._csc is None:
-            self._csc = sp.csr_matrix(
-                (self._vals, (self._cols, self._rows)), shape=(self.n_agents, self.n_agents)
-            )
-        return self._csc
 
     def transpose_index(self) -> np.ndarray | None:
         """Storage position of entry (j, i) for every stored entry (i, j), or
@@ -206,39 +184,6 @@ class ScalingReport:
     max_col_abs_sum: float
     max_entry_abs: float
     density: float
-
-
-class EmpiricalGraphon:
-    """Piecewise-constant kernel N * w_ij on the N x N cell grid of [0,1]^2."""
-
-    def __init__(self, weights: SparseWeights):
-        self.weights = weights
-        self.n_cells = weights.n_agents
-        self._dense = None
-
-    def cell_value(self, i: int, j: int) -> float:
-        """Value on cell (i, j), 1-based: N * w_ij."""
-        n = self.n_cells
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ValueError("cell index out of range")
-        lo, hi = self.weights._indptr[i - 1], self.weights._indptr[i]
-        cols = self.weights.cols0[lo:hi]
-        k = np.searchsorted(cols, j - 1)
-        if k < cols.size and cols[k] == j - 1:
-            return n * float(self.weights.values[lo + k])
-        return 0.0
-
-    def value_at(self, xi: float, zeta: float) -> float:
-        """Kernel value at a point of [0,1]^2 (right-open cells, last closed)."""
-        n = self.n_cells
-        i = min(int(xi * n), n - 1) + 1
-        j = min(int(zeta * n), n - 1) + 1
-        return self.cell_value(i, j)
-
-    def to_dense(self) -> np.ndarray:
-        if self._dense is None:
-            self._dense = self.n_cells * self.weights.to_dense()
-        return self._dense
 
 
 def _max_fsum(vals: np.ndarray, indptr: np.ndarray) -> float:
@@ -329,24 +274,19 @@ def gen_from_graphon(n, g, rng_seed=None, mode="midpoint"):
     raise ValueError(f"unknown sampling mode {mode!r}")
 
 
-def kernel_apply(w: SparseWeights, phi: np.ndarray, side: str = "row") -> np.ndarray:
-    """Apply the weight matrix to a per-agent vector (or stack of vectors).
-
-    row side: out_i = sum_j w_ij phi_j, i.e. the action of the empirical
-    kernel on functions of the second variable; col side transposes.  The
-    empirical-graphon normalization N * w_ij cancels against the 1/N cell
-    measure, so the raw stored weights apply with no extra factor.
+def kernel_apply(w: SparseWeights, phi: np.ndarray) -> np.ndarray:
+    """Apply the weight matrix to a per-agent vector (or stack of vectors):
+    out_i = sum_j w_ij phi_j, the action of the empirical kernel on
+    functions of the second variable.  The empirical-graphon normalization
+    N * w_ij cancels against the 1/N cell measure, so the raw stored weights
+    apply with no extra factor.
     """
     phi = np.asarray(phi, dtype=np.float64)
     if phi.shape[0] != w.n_agents:
         raise ValueError(f"phi has leading size {phi.shape[0]}, expected {w.n_agents}")
-    mat = w.csr() if side == "row" else w.csc_t() if side == "col" else None
-    if mat is None:
-        raise ValueError("side must be 'row' or 'col'")
     if phi.ndim == 1:
-        return mat @ phi
-    flat = mat @ phi.reshape(phi.shape[0], -1)
-    return flat.reshape(phi.shape)
+        return w.csr() @ phi
+    return (w.csr() @ phi.reshape(phi.shape[0], -1)).reshape(phi.shape)
 
 
 def save_edge_list(w: SparseWeights, path) -> None:

@@ -5,6 +5,7 @@ import pytest
 
 from nxmf import Grid1D, SparseWeights, gaussian_fibers
 from nxmf.kernels import Kernel, LINE
+from nxmf.observables import Observable
 
 
 def random_sparse_weights(rng, n, density=0.3, scale=None):
@@ -36,6 +37,28 @@ def random_fibers(rng, grid, n_fibers):
     means = rng.uniform(grid.x_min * 0.4, grid.x_max * 0.4, size=n_fibers)
     stds = rng.uniform(0.3, 1.0, size=n_fibers)
     return gaussian_fibers(grid, means, stds)
+
+
+def tau_dense_reference(t, w, f) -> Observable:
+    """tau(T, w, f) by literal N^order index summation (oracle; tiny sizes only)."""
+    n = w.n_agents
+    dense = w.to_dense()
+    shape = (f.grid.n_cells,) * t.order
+    out = np.zeros(shape)
+    edges = t.edges()
+    for combo in np.ndindex(*(n,) * t.order):
+        coeff = 1.0
+        for (a, b) in edges:
+            coeff *= dense[combo[a - 1], combo[b - 1]]
+            if coeff == 0.0:
+                break
+        if coeff == 0.0:
+            continue
+        prof = f.values[combo[0]]
+        for v in range(1, t.order):
+            prof = np.multiply.outer(prof, f.values[combo[v]])
+        out += coeff * prof
+    return Observable(tree=t, grid=f.grid, values=out / n)
 
 
 def pure_linear_kernel():

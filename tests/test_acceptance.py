@@ -35,9 +35,8 @@ from nxmf import (
     tau_density,
 )
 from nxmf.metrics import AgentLawSpec, independence_gap, meanfield_gap
-from nxmf.observables import tau_dense_reference
 from nxmf.rearrange import modulus_bound, n_pieces
-from conftest import random_fibers, random_sparse_weights
+from conftest import random_fibers, random_sparse_weights, tau_dense_reference
 
 T1 = LabeledTree((0,))
 T2 = LabeledTree((0, 1))

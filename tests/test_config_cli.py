@@ -168,7 +168,7 @@ class TestConfig:
     def test_golden_loads(self):
         cfg = ExperimentConfig.from_dict(copy.deepcopy(GOLDEN))
         assert cfg.seed == 7
-        assert cfg.build_weights().n_agents == 8
+        assert cfg.build_weights(cfg.seed).n_agents == 8
         assert cfg.kernel.name == "linear_attraction"
         assert cfg.grid.n_cells == 64
         assert cfg.build_laws(8).n_agents == 8
@@ -215,7 +215,7 @@ class TestConfig:
         cfg = ExperimentConfig.from_text(text)
         assert (cfg.t_end, cfg.snapshots, cfg.dt, cfg.n_max, cfg.lam, cfg.levels, cfg.cells) == \
             (1.0, [0.0, 0.5, 1.0], 0.02, 2, 1.0, 3, 4096)
-        assert (cfg.kernel.name, cfg.grid.n_cells, cfg.build_weights().n_agents) == \
+        assert (cfg.kernel.name, cfg.grid.n_cells, cfg.build_weights(cfg.seed).n_agents) == \
             ("linear_attraction", 256, 64)
         assert (cfg.seed, cfg.binary_density, cfg.out_dir) == (7, False, "out")
 
@@ -396,6 +396,21 @@ class TestCli:
             outs.append(manifest_outputs(out))
         assert outs[0] != outs[1]
 
+    def test_seed_override_reaches_bernoulli_graph(self, tmp_path):
+        doc = copy.deepcopy(GOLDEN)
+        doc["graph"] = {"kind": "graphon_product", "n": 16, "scale": 1.0, "mode": "bernoulli"}
+        doc["seed"] = 11
+        path = tmp_path / "bern.json"
+        path.write_text(json.dumps(doc))
+        reports = {}
+        for tag, flags in (("none", []), ("1", ["--seed", "1"]), ("2", ["--seed", "2"]),
+                           ("11", ["--seed", "11"])):
+            out = tmp_path / f"bern_{tag}"
+            assert main(["simulate", "--config", str(path), "--out", str(out)] + flags) == 0
+            reports[tag] = (out / "scaling_report.json").read_bytes()
+        assert reports["1"] != reports["2"]
+        assert reports["11"] == reports["none"]
+
     def test_repeat_run_byte_identical(self, config_file, tmp_path):
         digests = []
         for tag in ("a", "b"):
@@ -463,6 +478,20 @@ class TestCli:
             lines = (out / name).read_text().splitlines()
             assert lines[0] == "t,gap,bound,stderr,seeds"
             assert len(lines) >= 2
+
+    @pytest.mark.parametrize("replicas,indep_seeds,mf_seeds",
+                             [(None, "100", "2"), (120, "120", "120")])
+    def test_convergence_replica_floors(self, replicas, indep_seeds, mf_seeds, tmp_path):
+        import csv as csvmod
+
+        doc = mutate("replicas", ... if replicas is None else replicas)
+        path = tmp_path / "reps.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "reps_out"
+        assert main(["convergence", "--config", str(path), "--out", str(out)]) == 0
+        for name, seeds in (("independence_gap.csv", indep_seeds), ("meanfield_gap.csv", mf_seeds)):
+            rows = list(csvmod.DictReader((out / name).open()))
+            assert rows and {r["seeds"] for r in rows} == {seeds}
 
     def test_binary_lattice_header(self, tmp_path):
         doc = copy.deepcopy(GOLDEN)

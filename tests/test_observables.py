@@ -10,7 +10,6 @@ from nxmf import (
     SparseWeights,
     T1,
     enumerate_trees,
-    eval_transform,
     gaussian_fibers,
     gen_class_permutation,
     gen_uniform,
@@ -24,83 +23,46 @@ from nxmf import (
     tau,
     tau_at,
     tau_density,
-    tree_to_transform,
+    velocity,
 )
 from nxmf.observables import (
-    LEAF,
     LatticeBudgetError,
+    ResidualReport,
+    _central_diff,
+    _central_lap,
     lambda_admissible,
-    marginal_equation_residual,
-    star,
-    tau_dense_reference,
-    tau_via_transform,
-    tensor,
-    transform_slots,
 )
 from nxmf import check_scaling
-from conftest import random_fibers, random_sparse_weights
+from conftest import random_fibers, random_sparse_weights, tau_dense_reference
 
 T2 = LabeledTree((0, 1))
 T31 = LabeledTree((0, 1, 1))
 T32 = LabeledTree((0, 1, 2))
 
 
-class TestTransformConstruction:
-    def test_single_vertex(self):
-        assert tree_to_transform(T1) == LEAF
-
-    def test_two_vertices(self):
-        expr = tree_to_transform(T2)
-        assert expr == tensor(LEAF, star(LEAF))
-        assert expr.rank == 2
-        assert expr.star_count() == 1
-
-    def test_order_three_distinct(self):
-        a = tree_to_transform(T31)
-        b = tree_to_transform(T32)
-        assert a != b
-        assert a.star_count() == b.star_count() == 2
-        assert a.rank == b.rank == 3
-
-    def test_star_count_is_edge_count(self):
-        for n in range(1, 5):
-            for t in enumerate_trees(n):
-                assert tree_to_transform(t).star_count() == len(t.edges())
-
-    def test_slots_cover_vertices(self):
-        for t in enumerate_trees(4):
-            assert sorted(transform_slots(t)) == [1, 2, 3, 4]
-
-    def test_order_cap(self):
-        with pytest.raises(ValueError):
-            tree_to_transform(LabeledTree((0, 1, 1, 1, 1)))
-
-
-class TestEvalTransform:
-    def setup_method(self):
-        self.grid = Grid1D(-2, 2, 16)
-        rng = np.random.default_rng(3)
-        self.f = FiberedDensity(grid=self.grid, values=rng.random((6, 16)))
-
-    def test_leaf_is_column(self):
-        out = eval_transform(LEAF, gen_uniform(6, 1.0), self.f, [5])
-        assert np.array_equal(out, self.f.values[:, 5])
-
-    def test_star_row_stochastic_identical_fibers(self):
-        f = FiberedDensity(grid=self.grid, values=np.tile(self.f.values[0], (6, 1)))
-        w = gen_uniform(6, 1.0, include_diagonal=True)  # rows sum to 1
-        a = eval_transform(star(LEAF), w, f, [3])
-        b = eval_transform(LEAF, w, f, [3])
-        assert np.allclose(a, b)
-
-    def test_tensor_is_product(self):
-        w = gen_uniform(6, 0.5)
-        a = eval_transform(tensor(LEAF, LEAF), w, self.f, [2, 9])
-        assert np.allclose(a, self.f.values[:, 2] * self.f.values[:, 9])
-
-    def test_rank_mismatch(self):
-        with pytest.raises(ValueError):
-            eval_transform(tensor(LEAF, LEAF), gen_uniform(6, 1.0), self.f, [1])
+def marginal_equation_residual(f_series, w, k, nu=0.0) -> ResidualReport:
+    """Independent coding of the order-1 residual straight from the fibers:
+    d/dt mean_i f_i + d/dx mean_i (f_i V_i) - nu Lap mean_i f_i."""
+    snaps = list(f_series)
+    if len(snaps) < 3:
+        raise ValueError("need at least 3 snapshots")
+    mid = len(snaps) // 2
+    f0, f1, f2 = snaps[mid - 1], snaps[mid], snaps[mid + 1]
+    h1, h2 = f1.time - f0.time, f2.time - f1.time
+    grid = f1.grid
+    periodic = grid.topology == "torus"
+    c0 = -h2 / (h1 * (h1 + h2))
+    c1 = (h2 - h1) / (h1 * h2)
+    c2 = h1 / (h2 * (h1 + h2))
+    m0, m1, m2 = (s.values.mean(axis=0) for s in (f0, f1, f2))
+    r = c0 * m0 + c1 * m1 + c2 * m2
+    vel = velocity(f1, w, k)
+    flux = (f1.values * vel).mean(axis=0)
+    r = r + _central_diff(flux, axis=0, dx=grid.dx, periodic=periodic)
+    if nu > 0:
+        r = r - nu * _central_lap(m1, axis=0, dx=grid.dx, periodic=periodic)
+    value = float(np.abs(r).sum()) * grid.dx
+    return ResidualReport(value=value, dt=0.5 * (h1 + h2), dx=grid.dx, field=r)
 
 
 class TestTau:
@@ -122,27 +84,6 @@ class TestTau:
                     a = tau(t, w, f).values
                     b = tau_dense_reference(t, w, f).values
                     assert np.abs(a - b).max() <= 1e-12
-
-    def test_matches_transform_route(self, rng):
-        g = Grid1D(-3, 3, 8)
-        n = 5
-        w = random_sparse_weights(rng, n, density=0.5)
-        f = random_fibers(rng, g, n)
-        for t in (T2, T31, T32):
-            a = tau(t, w, f).values
-            b = tau_via_transform(t, w, f).values
-            assert np.abs(a - b).max() <= 1e-12
-
-    def test_transform_association_immaterial(self, rng):
-        # child-order permutations give different ASTs, identical values
-        g = Grid1D(-3, 3, 8)
-        n = 5
-        w = random_sparse_weights(rng, n, density=0.5)
-        f = random_fibers(rng, g, n)
-        for t in enumerate_trees(4)[:4]:
-            a = tau_via_transform(t, w, f, child_order="ascending").values
-            b = tau_via_transform(t, w, f, child_order="descending").values
-            assert np.abs(a - b).max() <= 1e-12
 
     def test_unreferenced_fiber_zero(self):
         g = Grid1D(-2, 2, 16)

@@ -10,6 +10,7 @@ from nxmf import (
     FiberedDensity,
     Grid1D,
     SparseWeights,
+    check_scaling,
     gaussian_fibers,
     gen_uniform,
     kuramoto,
@@ -19,12 +20,17 @@ from nxmf import (
     velocity,
 )
 from nxmf import pde
-from nxmf.pde import fiber_convolution, velocity_bound
+from nxmf.pde import fiber_convolution
 from conftest import pure_linear_kernel, random_fibers, random_sparse_weights
 
 
 def empty_weights(n):
     return SparseWeights(n, [], [], [])
+
+
+def velocity_bound(f, w, k) -> float:
+    """A priori sup bound of the velocity: max_row_abs_sum * |K|_inf * max fiber mass."""
+    return check_scaling(w).max_row_abs_sum * k.sup_norm * float(f.masses().max())
 
 
 def dense_no_flux_backward_euler(vals, c):
