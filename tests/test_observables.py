@@ -112,6 +112,17 @@ class TestTau:
         direct = ob.values[pts[:, 0], pts[:, 1], pts[:, 2]]
         assert np.abs(sampled - direct).max() <= 1e-13
 
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_tau_at_matches_lattice_every_tree(self, rng, order):
+        g = Grid1D(-3, 3, 8)
+        n = 4
+        w = random_sparse_weights(rng, n, density=0.6)
+        f = random_fibers(rng, g, n)
+        pts = rng.integers(0, 8, size=(16, order))
+        for t in enumerate_trees(order):
+            direct = tau(t, w, f).values[tuple(pts.T)]
+            assert np.abs(tau_at(t, w, f, pts) - direct).max() <= 1e-13
+
     def test_sup_bound(self, rng):
         # |tau|_inf <= max_row_abs_sum^(m-1) * (max fiber sup)^m
         g = Grid1D(-3, 3, 10)
@@ -165,6 +176,19 @@ class TestTauDensity:
             for order in (1, 2, 3):
                 for t in enumerate_trees(order):
                     assert abs(tau(t, w, f).integral() - tau_density(t, w)) <= 1e-10
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_matches_dense_reference(self, rng, order):
+        # with every fiber identically one, the N^order oracle is the
+        # homomorphism density at every lattice point
+        g = Grid1D(-1, 1, 8)
+        for _ in range(3):
+            n = int(rng.integers(2, 5))
+            w = random_sparse_weights(rng, n, density=0.6)
+            f = FiberedDensity(grid=g, values=np.ones((n, 8)))
+            for t in enumerate_trees(order):
+                ref = tau_dense_reference(t, w, f).values
+                assert np.abs(ref - tau_density(t, w)).max() <= 1e-13
 
 
 class TestHierarchy:
@@ -227,6 +251,52 @@ class TestHierarchy:
         ok_small, thr = lambda_admissible(1e-8, w, f, linear_attraction(), t_star=1.0)
         ok_big, _ = lambda_admissible(1e8, w, f, linear_attraction(), t_star=1.0)
         assert ok_small and not ok_big and thr > 0
+
+
+def _stencil_diff(arr, axis, dx, periodic):
+    """Centered first difference written out slice by slice, one-sided at
+    the ends of a line."""
+    if periodic:
+        return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2 * dx)
+    a = np.moveaxis(arr, axis, 0)
+    out = np.empty_like(a)
+    out[1:-1] = (a[2:] - a[:-2]) / (2 * dx)
+    out[0] = (a[1] - a[0]) / dx
+    out[-1] = (a[-1] - a[-2]) / dx
+    return np.moveaxis(out, 0, axis)
+
+
+def _stencil_lap(arr, axis, dx, periodic):
+    """Three-point second difference written out slice by slice; a line
+    copies the nearest interior value to each end."""
+    if periodic:
+        return (np.roll(arr, -1, axis=axis) - 2 * arr + np.roll(arr, 1, axis=axis)) / dx**2
+    a = np.moveaxis(arr, axis, 0)
+    out = np.zeros_like(a)
+    out[1:-1] = (a[2:] - 2 * a[1:-1] + a[:-2]) / dx**2
+    out[0] = out[1]
+    out[-1] = out[-2]
+    return np.moveaxis(out, 0, axis)
+
+
+class TestResidualStencils:
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_central_diff_matches_stencil(self, rng, ndim):
+        arr = rng.standard_normal((9, 7, 8)[:ndim])
+        for axis in range(ndim):
+            for dx in (0.1, 0.25, 1.0 / 3.0):
+                for periodic in (False, True):
+                    got = _central_diff(arr, axis=axis, dx=dx, periodic=periodic)
+                    assert np.array_equal(got, _stencil_diff(arr, axis, dx, periodic))
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_central_lap_matches_stencil(self, rng, ndim):
+        arr = rng.standard_normal((9, 7, 8)[:ndim])
+        for axis in range(ndim):
+            for dx in (0.1, 0.25, 1.0 / 3.0):
+                for periodic in (False, True):
+                    got = _central_lap(arr, axis=axis, dx=dx, periodic=periodic)
+                    assert np.array_equal(got, _stencil_lap(arr, axis, dx, periodic))
 
 
 class TestHierarchyResidual:

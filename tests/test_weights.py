@@ -232,6 +232,16 @@ class TestKernelApply:
             assert np.abs(out).max() <= rep.max_row_abs_sum * np.abs(phi).max() + 1e-12
             assert np.abs(out).mean() <= rep.max_col_abs_sum * np.abs(phi).mean() + 1e-12
 
+    @pytest.mark.parametrize("trailing", [(), (3,), (2, 5)])
+    def test_matches_dense_product(self, rng, trailing):
+        # a stack of vectors is applied column by column, keeping its shape
+        w = random_sparse_weights(rng, 11, density=0.4)
+        phi = rng.standard_normal((11,) + trailing)
+        out = kernel_apply(w, phi)
+        assert out.shape == phi.shape
+        expected = np.tensordot(w.to_dense(), phi, axes=1)
+        assert np.abs(out - expected).max() <= 1e-14
+
 
 class TestStorage:
     def test_duplicate_rejected(self):
@@ -243,6 +253,16 @@ class TestStorage:
             SparseWeights.from_entries(3, [(1, 4, 0.5)])
         with pytest.raises(ValueError):
             SparseWeights.from_entries(3, [(0, 1, 0.5)])
+
+    def test_adjacency_round_trip(self, rng):
+        # the CSR operator read back by rows and by columns holds exactly the stored entries
+        w = random_sparse_weights(rng, 13)
+        by_row, by_col = w.csr().tocoo(), w.csr().tocsc().tocoo()
+        from_rows = {(int(i) + 1, int(j) + 1, float(v))
+                     for i, j, v in zip(by_row.row, by_row.col, by_row.data)}
+        from_cols = {(int(i) + 1, int(j) + 1, float(v))
+                     for i, j, v in zip(by_col.row, by_col.col, by_col.data)}
+        assert from_rows == from_cols == set(w.entries())
 
     def test_edge_list_round_trip(self, rng, tmp_path):
         w = random_sparse_weights(rng, 15)
