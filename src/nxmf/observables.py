@@ -147,11 +147,16 @@ def _pointwise_root(t: LabeledTree, w: SparseWeights, leaf_of) -> np.ndarray:
 
 def tau_at(t: LabeledTree, w: SparseWeights, f: FiberedDensity,
            cells: np.ndarray) -> np.ndarray:
-    """Observable sampled at a list of x-tuples given as cell indices,
-    shape (n_points, order); memory stays O(n_fibers * n_points)."""
+    """Observable sampled at a list of x-tuples given as cell indices in
+    [0, n_cells), shape (n_points, order); memory stays
+    O(n_fibers * n_points)."""
+    if w.n_agents != f.n_fibers:
+        raise ValueError("weights and density disagree on the fiber count")
     cells = np.asarray(cells, dtype=np.int64)
     if cells.ndim != 2 or cells.shape[1] != t.order:
         raise ValueError("cells must have shape (n_points, order)")
+    if cells.size and not (cells.min() >= 0 and cells.max() < f.grid.n_cells):
+        raise ValueError(f"cell indices must lie in [0, {f.grid.n_cells})")
     return _pointwise_root(t, w, lambda v: f.values[:, cells[:, v - 1]]).mean(axis=0)
 
 

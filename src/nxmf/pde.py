@@ -10,6 +10,13 @@ it is preferred over formal order.  `solve` is the one transport entry
 point; `velocity` evaluates the same field on a given density (the
 hierarchy residuals use it).
 
+Fibers that start bitwise equal and see bitwise-equal weight rows, up to
+which class each column falls in, stay bitwise equal.  `solve` therefore
+marches one fiber per class of the coarsest such partition (an equitable
+partition, refined from the initial values) and expands the classes back
+to all fibers only for the states it returns, with every output bit that
+of the full march.
+
 Boundary treatment is a choice the continuum problem does not make for us:
 the torus wraps; the line uses zero inflow and accumulates advective
 outflow in a per-fiber leakage ledger, with no-flux diffusion.
@@ -21,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .kernels import Kernel
 from .weights import SparseWeights, kernel_apply
@@ -212,13 +220,16 @@ def _diffuse(vals: np.ndarray, g: Grid1D, c: float) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(vals, axis=1) / damp, n=n, axis=1)[:, :g.n_cells]
 
 
-def _step(vals: np.ndarray, faces: np.ndarray, g: Grid1D, dt: float, nu: float):
-    """One step for all fibers: explicit upwind advection with the given face
-    velocities, then implicit diffusion.
+def _step(vals: np.ndarray, faces: np.ndarray, g: Grid1D, dt: float, nu: float,
+          expand: np.ndarray | None = None):
+    """One step for all marched fibers: explicit upwind advection with the
+    given face velocities, then implicit diffusion.
 
     Returns the new values with roundoff negatives clamped to zero, the
     advective outflow per fiber (line only), the clamped mass, and the
     step's conservation defect, measured after diffusion and before clamping.
+    When vals holds one row per class, expand (the class of every fiber)
+    gives the clamped mass as the sum over the full system, in its order.
     """
     dx = g.dx
     up = np.maximum(faces, 0.0)
@@ -242,9 +253,59 @@ def _step(vals: np.ndarray, faces: np.ndarray, g: Grid1D, dt: float, nu: float):
     clamp = 0.0
     neg = new < 0.0
     if neg.any():
-        clamp = float(-new[neg].sum()) * dx
+        full = new if expand is None else new[expand]
+        clamp = float(-full[full < 0.0].sum()) * dx
         new = np.where(neg, 0.0, new)
     return new, leak, clamp, defect
+
+
+def _row_classes(a: np.ndarray) -> np.ndarray:
+    """Class of each row of a 2-D array of 8-byte items under bitwise
+    equality, numbered 0, 1, ... in order of first appearance."""
+    a = np.ascontiguousarray(a).view(np.int64)
+    # a stable sort of the rows as byte strings puts equal rows together,
+    # each class led by its first row
+    order = np.argsort(a.view(np.dtype((np.void, 8 * a.shape[1]))).ravel(), kind="stable")
+    rows = a[order]
+    lead = np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[np.argsort(order[lead])] = np.arange(np.count_nonzero(lead))
+    out = np.empty_like(rank)
+    out[order] = rank[np.cumsum(lead) - 1]
+    return out
+
+
+def _fiber_classes(f: FiberedDensity, a: sp.csr_matrix) -> np.ndarray:
+    """Class of each fiber in the coarsest exact lumping of the march with
+    weight operator a, numbered in order of first appearance (so the
+    identity when no two fibers lump).
+
+    Fibers of one class hold bitwise-equal values and leakage, and their
+    weight rows list the same sequence of (class of column, weight bits) in
+    stored order.  The partition starts from the values and leakage and is
+    refined until the class count stops growing; when every fiber is
+    already alone, no weight row is read.
+    """
+    color = _row_classes(np.column_stack((f.values, f.leakage)))
+    n_classes = int(color.max()) + 1
+    if n_classes == f.n_fibers:
+        return color
+    # the weight rows grouped by length, as (fibers, columns, weight bits)
+    lengths = np.diff(a.indptr)
+    groups = []
+    for length in np.unique(lengths):
+        rows = np.flatnonzero(lengths == length)
+        idx = a.indptr[rows, None] + np.arange(length)
+        groups.append((rows, a.indices[idx], a.data.view(np.int64)[idx]))
+    while n_classes < f.n_fibers:
+        sub = np.empty_like(color)
+        for rows, cols, bits in groups:
+            sub[rows] = _row_classes(np.column_stack((color[rows], color[cols], bits)))
+        refined = _row_classes(np.column_stack((lengths, sub)))
+        if int(refined.max()) + 1 == n_classes:
+            break
+        color, n_classes = refined, int(refined.max()) + 1
+    return color
 
 
 @dataclass
@@ -266,6 +327,16 @@ def solve(f0: FiberedDensity, w: SparseWeights, k: Kernel, nu: float,
     works on raw arrays; the kernel spectrum is computed once per call, the
     velocity once per step, and a FiberedDensity (validated) is built only
     for the returned states.
+
+    The march is lumped exactly.  Fibers with bitwise-equal values and
+    leakage whose weight rows list the same (class of column, weight)
+    sequence in stored order stay bitwise equal, so only one representative
+    per class is marched, against the representatives' rows with each
+    column replaced by its class.  Every product row then adds the same
+    numbers in the same order as in the full system, the returned states
+    are expanded to every fiber, and a clamped mass is summed over the
+    expanded rows: snapshots, final state, step count and per-step mass
+    drift are bitwise those of the full march.
     """
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
@@ -279,8 +350,23 @@ def solve(f0: FiberedDensity, w: SparseWeights, k: Kernel, nu: float,
         raise ValueError("output times must lie in [0, t_end]")
     g = f0.grid
     dx = g.dx
+    a = w.csr()
+    color = _fiber_classes(f0, a)
+    n_classes = int(color.max()) + 1
+    vals, leakage, expand = f0.values, f0.leakage, None
+    if n_classes < f0.n_fibers:
+        # one representative per class; its stored row, each column replaced
+        # by its class and duplicates kept in stored order, adds the same
+        # terms in the same order as the full row
+        reps = np.unique(color, return_index=True)[1]
+        rows = a[reps]
+        a = sp.csr_matrix((rows.data, color[rows.indices], rows.indptr),
+                          shape=(n_classes, n_classes))
+        vals, leakage, expand = vals[reps], leakage[reps], color
 
     def density(vals, time, leakage, clamp_total):
+        if expand is not None:
+            vals, leakage = vals[expand], leakage[expand]
         return FiberedDensity(grid=g, values=vals, time=time, initial_mass=f0.initial_mass,
                               leakage=leakage, clamp_total=clamp_total)
 
@@ -291,13 +377,13 @@ def solve(f0: FiberedDensity, w: SparseWeights, k: Kernel, nu: float,
             snaps[idx] = f0
             pending.remove(idx)
     kh = _spectrum(g, k)
-    state = (f0.values, f0.time, f0.leakage, f0.clamp_total)
+    state = (vals, f0.time, leakage, f0.clamp_total)
     max_drift = 0.0
     n_steps = 0
     while state[1] < t_end - 1e-12:
         prev = state
         vals, time, leakage, clamp_total = prev
-        faces = _face_velocities(kernel_apply(w, _convolve(vals, g, kh)), g.topology)
+        faces = _face_velocities(a @ _convolve(vals, g, kh), g.topology)
         vmax = float(np.abs(faces).max())
         dt_ok = cfl_limits(vmax, dx)
         limit = dt_ok if vmax != 0 or nu <= 0 else 0.25 * dx**2 / nu
@@ -307,7 +393,7 @@ def solve(f0: FiberedDensity, w: SparseWeights, k: Kernel, nu: float,
         step_dt = min(step_dt, t_end - time)
         if step_dt > dt_ok * (1 + 1e-12):
             raise CFLError(f"dt={step_dt:g} violates CFL; admissible dt <= {dt_ok:g}")
-        new, leak, clamp, defect = _step(vals, faces, g, step_dt, nu)
+        new, leak, clamp, defect = _step(vals, faces, g, step_dt, nu, expand)
         state = (new, time + step_dt, leakage + leak, clamp_total + clamp)
         max_drift = max(max_drift, defect)
         n_steps += 1

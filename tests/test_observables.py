@@ -112,6 +112,21 @@ class TestTau:
         direct = ob.values[pts[:, 0], pts[:, 1], pts[:, 2]]
         assert np.abs(sampled - direct).max() <= 1e-13
 
+    @pytest.mark.parametrize("cell", [-1, 8])
+    def test_tau_at_rejects_cell_out_of_range(self, rng, cell):
+        # -1 would wrap to the last cell and 8 would raise a bare IndexError
+        g = Grid1D(-3, 3, 8)
+        w = random_sparse_weights(rng, 4, density=0.6)
+        f = random_fibers(rng, g, 4)
+        with pytest.raises(ValueError, match="cell indices"):
+            tau_at(T2, w, f, [[0, 3], [cell, 0]])
+
+    def test_tau_at_rejects_fiber_count_mismatch(self, rng):
+        g = Grid1D(-3, 3, 8)
+        f = random_fibers(rng, g, 3)
+        with pytest.raises(ValueError, match="fiber count"):
+            tau_at(T1, gen_uniform(4, 1.0), f, [[0], [5]])
+
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_tau_at_matches_lattice_every_tree(self, rng, order):
         g = Grid1D(-3, 3, 8)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from nxmf import (
     solve,
     velocity,
 )
-from nxmf import pde
+from nxmf import gen_class_permutation, pde
+from nxmf.metrics import AgentLawSpec
 from nxmf.pde import fiber_convolution
 from conftest import pure_linear_kernel, random_fibers, random_sparse_weights
 
@@ -145,6 +147,32 @@ def reference_solve(f0, w, k, nu, t_end, output_times, dt=None):
     for idx in pending:
         snaps[idx] = state
     return [snaps[i] for i in range(len(targets))], n_steps, max_drift, state
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def assert_matches_reference(res, f0, w, k, nu, t_end, output_times, dt=None):
+    """solve's result bit for bit against reference_solve: step count,
+    worst per-step defect, and every returned state with its ledgers."""
+    snaps, n_steps, max_drift, final = reference_solve(f0, w, k, nu, t_end, output_times, dt)
+    assert res.n_steps == n_steps
+    assert bits(res.max_step_mass_drift) == bits(max_drift)
+    for a, b in zip([*res.snapshots, res.final], [*snaps, final]):
+        assert bits(a.time) == bits(b.time)
+        assert np.array_equal(bits(a.values), bits(b.values))
+        assert np.array_equal(bits(a.leakage), bits(b.leakage))
+        assert bits(a.clamp_total) == bits(b.clamp_total)
+        assert np.array_equal(bits(a.initial_mass), bits(b.initial_mass))
+
+
+def marched(f0, w, k, **kwargs):
+    """solve with pde._step spied on: the result and the number of fiber
+    rows each step marched."""
+    with mock.patch.object(pde, "_step", wraps=pde._step) as spy:
+        res = solve(f0, w, k, **kwargs)
+    return res, [c.args[0].shape[0] for c in spy.call_args_list]
 
 
 def step(f, w, k, dt, nu=0.0):
@@ -397,15 +425,7 @@ class TestSolve:
         f, w, k = march_inputs(rng, topology)
         times = [0.0, 0.043, 0.25, 0.5]
         res = solve(f, w, k, nu=nu, t_end=0.5, output_times=times, dt=dt)
-        snaps, n_steps, max_drift, final = reference_solve(f, w, k, nu, 0.5, times, dt)
-        assert res.n_steps == n_steps
-        assert res.max_step_mass_drift == max_drift
-        for a, b in zip([*res.snapshots, res.final], [*snaps, final]):
-            assert a.time == b.time
-            assert np.array_equal(a.values, b.values)
-            assert np.array_equal(a.leakage, b.leakage)
-            assert a.clamp_total == b.clamp_total
-            assert np.array_equal(a.initial_mass, b.initial_mass)
+        assert_matches_reference(res, f, w, k, nu, 0.5, times, dt)
         if dt is not None:
             assert res.snapshots[1].time < 0.043
         if topology == "line":
@@ -503,6 +523,179 @@ class TestSolve:
         assert times[0] == 0.0
         assert abs(times[1] - 0.2) <= 0.025 + 1e-12
         assert abs(times[2] - 0.4) <= 1e-12
+
+
+def class_block_inputs(g, labels, base, block):
+    """Fiber i is the profile base[labels[i]], and w_ij is
+    block[labels[i], labels[j]] / (number of fibers labelled labels[j])
+    wherever block is nonzero: fibers of one label share a law and, up to
+    the label of each column, a weight row."""
+    labels = np.asarray(labels)
+    sizes = np.bincount(labels, minlength=block.shape[0])
+    dense = block[labels[:, None], labels[None, :]] / sizes[labels][None, :]
+    rows, cols = np.nonzero(dense)
+    w = SparseWeights(labels.size, rows, cols, dense[rows, cols])
+    return FiberedDensity(grid=g, values=base[labels]), w
+
+
+def profiles_with_gaps(rng, g, n):
+    """n distinct random profiles, zero on about half their cells and on
+    the middle five-eighths of the grid, so that diffusion leaves roundoff
+    negatives to clamp (as in march_inputs)."""
+    vals = rng.random((n, g.n_cells))
+    vals[rng.random(vals.shape) < 0.5] = 0.0
+    vals[:, 3 * g.n_cells // 16 : 13 * g.n_cells // 16] = 0.0
+    vals[:, 0] = 1.0 + np.arange(n)
+    return vals
+
+
+def golden_means(n, lo, hi):
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    return lo + (hi - lo) * np.mod((np.arange(n) + 1) * golden, 1.0)
+
+
+class TestLumping:
+    """solve marches one fiber per class of bitwise-equal fibers; every
+    output bit must equal the full (unlumped) reference march."""
+
+    @pytest.mark.parametrize("topology,nu", [("line", 0.0), ("torus", 0.02)])
+    @pytest.mark.parametrize("m", [8, 32, 128])
+    def test_class_permutation_bitwise(self, topology, nu, m):
+        # criterion 9's shape on a coarse grid: all m agents of a class share
+        # one law and one block row
+        n, n_classes = 256, 256 // m
+        if topology == "line":
+            g, k = Grid1D(-1.5, 1.5, 64), linear_attraction()
+            means = golden_means(n_classes, -0.5, 0.5)
+            perm = list(range(1, n_classes + 1))
+        else:
+            g, k = Grid1D(0.0, 2 * math.pi, 64, "torus"), kuramoto()
+            means = golden_means(n_classes, math.pi - 1.5, math.pi + 1.5)
+            perm = [c % n_classes + 1 for c in range(1, n_classes + 1)]
+        f = gaussian_fibers(g, np.repeat(means, m), np.full(n, 0.3))
+        w = gen_class_permutation(n, m, perm)
+        times = [0.1, 0.3]
+        res, rows = marched(f, w, k, nu=nu, t_end=0.3, output_times=times)
+        assert rows and set(rows) == {n_classes}
+        assert_matches_reference(res, f, w, k, nu, 0.3, times)
+
+    @pytest.mark.parametrize("topology", ["line", "torus"])
+    def test_partial_lumping_with_singletons(self, rng, topology):
+        # two labels of four fibers each and four singletons, interleaved
+        span = (0.0, 2 * math.pi) if topology == "torus" else (-3.0, 3.0)
+        g = Grid1D(*span, 48, topology)
+        labels = np.array([0, 0, 1, 0, 2, 1, 3, 1, 0, 4, 1, 5])
+        block = rng.uniform(-1.0, 1.0, (6, 6)) * (rng.random((6, 6)) < 0.7)
+        f, w = class_block_inputs(g, labels, random_fibers(rng, g, 6).values, block)
+        k = kuramoto() if topology == "torus" else linear_attraction()
+        assert np.array_equal(pde._fiber_classes(f, w.csr()), labels)
+        times = [0.05, 0.3]
+        res, rows = marched(f, w, k, nu=0.01, t_end=0.3, output_times=times)
+        assert rows and set(rows) == {6}
+        assert_matches_reference(res, f, w, k, 0.01, 0.3, times)
+
+    def test_equal_fibers_with_unequal_rows_split(self, rng):
+        # one law for every agent on a random sparse w: equal values alone
+        # do not make a class
+        g = Grid1D(-3, 3, 48)
+        n = 12
+        f = gaussian_fibers(g, [0.2] * n, [0.6] * n)
+        w = random_sparse_weights(rng, n, 0.4)
+        n_classes = int(pde._fiber_classes(f, w.csr()).max()) + 1
+        assert n_classes > 1
+        res, rows = marched(f, w, linear_attraction(), nu=0.0, t_end=0.3, output_times=[0.3])
+        assert set(rows) == {n_classes}
+        assert_matches_reference(res, f, w, linear_attraction(), 0.0, 0.3, [0.3])
+
+    def test_refinement_follows_chains(self):
+        # equal fibers on two chains 1 -> 2 -> 3 and 4 -> 5 -> 6: the row
+        # lengths split off the chain ends, and a second round the middles
+        g = Grid1D(-3, 3, 48)
+        f = gaussian_fibers(g, [0.2] * 6, [0.6] * 6)
+        w = SparseWeights.from_entries(6, [(1, 2, 0.5), (2, 3, 0.5), (4, 5, 0.5), (5, 6, 0.5)])
+        assert np.array_equal(pde._fiber_classes(f, w.csr()), [0, 1, 2, 0, 1, 2])
+        res, rows = marched(f, w, linear_attraction(), nu=0.0, t_end=0.3, output_times=[0.3])
+        assert set(rows) == {3}
+        assert_matches_reference(res, f, w, linear_attraction(), 0.0, 0.3, [0.3])
+
+    def test_unequal_leakage_splits(self, rng):
+        # equal values but different leakage ledgers march apart
+        g = Grid1D(-3, 3, 48)
+        f = gaussian_fibers(g, [0.2] * 4, [0.6] * 4)
+        f = dataclasses.replace(f, leakage=np.array([0.0, 0.0, 1e-3, 0.0]))
+        w = gen_uniform(4, 1.0, include_diagonal=True)
+        assert np.array_equal(pde._fiber_classes(f, w.csr()), [0, 0, 1, 0])
+        res, rows = marched(f, w, linear_attraction(), nu=0.0, t_end=0.3, output_times=[0.3])
+        assert set(rows) == {2}
+        assert_matches_reference(res, f, w, linear_attraction(), 0.0, 0.3, [0.3])
+
+    @pytest.mark.parametrize("topology", ["line", "torus"])
+    def test_clamping_run_bitwise(self, rng, topology):
+        # the clamped mass is summed over the full system on every step
+        # that clamps
+        span = (0.0, 2 * math.pi) if topology == "torus" else (-3.0, 3.0)
+        g = Grid1D(*span, 64, topology)
+        labels = rng.permutation(np.repeat(np.arange(4), 3))
+        block = rng.uniform(-3.0, 3.0, (4, 4)) * (rng.random((4, 4)) < 0.7)
+        f, w = class_block_inputs(g, labels, profiles_with_gaps(rng, g, 4), block)
+        k = kuramoto() if topology == "torus" else linear_attraction()
+        times = [0.1, 0.5]
+        res, rows = marched(f, w, k, nu=0.01, t_end=0.5, output_times=times)
+        assert set(rows) == {4}
+        assert res.final.clamp_total > 0.0
+        assert_matches_reference(res, f, w, k, 0.01, 0.5, times)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), topology=st.sampled_from(["line", "torus"]),
+           nu=st.sampled_from([0.0, 0.02]), n=st.integers(1, 16), n_laws=st.integers(1, 5))
+    def test_random_partitions_bitwise(self, seed, topology, nu, n, n_laws):
+        r = np.random.default_rng(seed)
+        n_laws = min(n, n_laws)
+        labels = r.permutation(np.concatenate(
+            (np.arange(n_laws), r.integers(0, n_laws, n - n_laws))))
+        span = (0.0, 2 * math.pi) if topology == "torus" else (-3.0, 3.0)
+        g = Grid1D(*span, int(r.integers(8, 40)), topology)
+        block = r.uniform(-2.0, 2.0, (n_laws, n_laws)) * (r.random((n_laws, n_laws)) < 0.7)
+        f, w = class_block_inputs(g, labels, profiles_with_gaps(r, g, n_laws), block)
+        k = kuramoto() if topology == "torus" else linear_attraction()
+        times = [0.05, 0.2]
+        res, rows = marched(f, w, k, nu=nu, t_end=0.2, output_times=times)
+        assert set(rows) == {n_laws}
+        assert_matches_reference(res, f, w, k, nu, 0.2, times)
+
+
+def indep_gap_shape():
+    """The benchmark's indep_gap fibers at seed 7: 256 agents in two
+    classes of 128 that share a law and a block row."""
+    n, m = 256, 128
+    means = np.random.default_rng(7).uniform(-0.5, 0.5, n // m)
+    laws = AgentLawSpec(means=np.repeat(means, m)[:, None], stds=np.full((n, 1), 0.15),
+                        weights=np.ones((n, 1)))
+    w = gen_class_permutation(n, m, list(range(1, n // m + 1)))
+    return laws.fibers(Grid1D(-1.5, 1.5, 256)), w, linear_attraction(), 0.0
+
+
+def criterion_2_shape():
+    """Criterion 2's 16 identical fibers under uniform coupling."""
+    f = gaussian_fibers(Grid1D(-6.0, 6.0, 256), [0.4] * 16, [0.6] * 16)
+    return f, gen_uniform(16, 1.0, include_diagonal=True), linear_attraction(), 0.0
+
+
+def noisy_torus_shape():
+    """The benchmark's noisy_torus fibers: 256 spread laws, all distinct."""
+    laws = AgentLawSpec.spread(256, math.pi - 1.5, math.pi + 1.5, 0.5)
+    w = gen_class_permutation(256, 16, [c % 16 + 1 for c in range(1, 17)])
+    return laws.fibers(Grid1D(0.0, 2 * math.pi, 256, "torus")), w, kuramoto(), 0.245
+
+
+@pytest.mark.parametrize("shape,n_classes", [
+    (indep_gap_shape, 2), (criterion_2_shape, 1), (noisy_torus_shape, 256)])
+def test_solve_marches_one_row_per_class(shape, n_classes):
+    f, w, k, nu = shape()
+    assert int(pde._fiber_classes(f, w.csr()).max()) + 1 == n_classes
+    res, rows = marched(f, w, k, nu=nu, t_end=0.05, output_times=[0.05])
+    assert rows and set(rows) == {n_classes}
+    assert res.final.n_fibers == f.n_fibers
 
 
 class TestRegularityGrowth:
