@@ -19,7 +19,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .kernels import PRESETS, Kernel
+from .kernels import PRESETS, Domain, Kernel
 from .metrics import AgentLawSpec
 from .pde import Grid1D
 from .rearrange import n_pieces
@@ -179,12 +179,20 @@ def _kernel(kr: _Fields) -> Kernel:
         raise ConfigError(kr.path, str(exc)) from exc
 
 
-def _grid(gr: _Fields) -> Grid1D:
+def _grid(gr: _Fields, domain: Domain) -> Grid1D:
+    """Check the grid section against the kernel's domain: the particles
+    live on that domain, so the fibers must be solved on the same one."""
     x_min, x_max = gr.number("x_min"), gr.number("x_max")
     if x_max <= x_min:
         raise ConfigError(gr.name("x_max"), f"must exceed {gr.name('x_min')}")
-    return Grid1D(x_min, x_max, gr.number("cells", lo=8, integer=True),
-                  gr.choice("topology", ("line", "torus"), default="line"))
+    cells = gr.number("cells", lo=8, integer=True)
+    topology = gr.choice("topology", ("line", "torus"), default="line")
+    if topology != domain.kind:
+        raise ConfigError(gr.name("topology"), f"must be {domain.kind!r}, the kernel's domain")
+    if topology == "torus" and not math.isclose(x_max - x_min, domain.period, rel_tol=1e-12):
+        raise ConfigError(gr.name("x_max"), f"must make x_max - x_min the kernel's period "
+                          f"{domain.period!r}, not {x_max - x_min!r}")
+    return Grid1D(x_min, x_max, cells, topology)
 
 
 def _snapshots(tm: _Fields, t_end: float) -> list[float]:
@@ -258,12 +266,14 @@ class ExperimentConfig:
         ob = top.section("observables", {})
         ra = top.section("rearrange", {})
         levels = ra.number("levels", lo=1, hi=6, default=3, integer=True)
+        kernel = _kernel(top.section("kernel"))
         return cls(
             raw=raw,
             build_weights=_weights(top.section("graph")),
             build_laws=_laws(top.section("init", {"mean_lo": -1.0, "mean_hi": 1.0, "std": 0.5})),
-            kernel=_kernel(top.section("kernel")),
-            grid=_grid(top.section("grid", {"x_min": -6.0, "x_max": 6.0, "cells": 128})),
+            kernel=kernel,
+            grid=_grid(top.section("grid", {"x_min": -6.0, "x_max": 6.0, "cells": 128}),
+                       kernel.domain),
             t_end=t_end,
             snapshots=_snapshots(tm, t_end),
             dt=tm.number("dt", positive=True) if "dt" in tm.d else None,

@@ -8,8 +8,16 @@ row depends only on its own difference vector, because the particle drift
 evaluates K on blocks of entries and any split must give the same bits.
 An optional self_drift carries uncoupled per-agent
 dynamics (used by the neuron preset); it plays no role in the interaction
-bounds.  A kernel declared odd (K(-x) = -K(x) bitwise) lets the particle
-drift evaluate each unordered pair of a symmetric weight matrix once.
+bounds.
+
+Which particle drift runs is a property of the kernel.  A kernel with
+modes, pairs (a_r, b_r) of elementwise functions with
+K(x - y) = sum_r a_r(x) * b_r(y), takes the low-rank path: one sparse
+matvec per mode, with no per-entry evaluation of K (Kuramoto, through its
+order parameters).  Every other kernel takes the entry path, which
+evaluates K once per stored weight; there, a kernel declared odd
+(K(-x) = -K(x) bitwise) lets the drift evaluate each unordered pair of a
+symmetric weight matrix once.
 """
 
 from __future__ import annotations
@@ -37,6 +45,10 @@ LINE = Domain("line")
 
 # fixed points on which a kernel declared odd must satisfy K(-x) == -K(x)
 _ODD_PROBE = np.array([1e-3, 0.25, 0.7, 1.3, 2.9, 5.5, 40.0])
+# positions whose pairs (x, y) check K(x - y) against the kernel's modes,
+# to _MODES_RTOL relative to the largest |K| on them
+_MODE_PROBE = np.array([0.0, 0.3, 1.1, 2.9, 3.3, 4.4, 6.2, -0.7, 9.0])
+_MODES_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -52,6 +64,8 @@ class Kernel:
     self_drift: Callable[[np.ndarray], np.ndarray] | None = field(default=None)
     name: str = "custom"
     odd: bool = False
+    # pairs (a_r, b_r) of elementwise functions, K(x - y) = sum_r a_r(x) * b_r(y)
+    modes: tuple | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -69,6 +83,15 @@ class Kernel:
             # a NaN stays NaN when folded; the particle guards reject it later
             if not np.array_equal(v[p.shape[0]:], -v[:p.shape[0]], equal_nan=True):
                 raise ValueError("kernel flagged odd but K(-x) != -K(x)")
+        if self.modes is not None:
+            if not self.modes:
+                raise ValueError("modes must hold at least one pair (a_r, b_r)")
+            p = _MODE_PROBE[:, None] + 0.37 * np.arange(self.dim)
+            x, y = np.repeat(p, p.shape[0], axis=0), np.tile(p, (p.shape[0], 1))
+            k = np.asarray(self.eval(x - y))
+            lowrank = sum(a(x) * b(y) for a, b in self.modes)
+            if not np.abs(lowrank - k).max() <= _MODES_RTOL * np.abs(k).max():
+                raise ValueError("kernel modes do not reproduce K(x - y)")
 
     @property
     def w1inf_norm(self) -> float:
@@ -76,13 +99,16 @@ class Kernel:
         return max(self.sup_norm, self.lipschitz)
 
 
-def kuramoto(coupling: float = 1.0, period: float = 2.0 * math.pi) -> Kernel:
-    """Phase-oscillator coupling K(x) = -coupling * sin(x) on the circle.
+def kuramoto(coupling: float = 1.0) -> Kernel:
+    """Phase-oscillator coupling K(x) = -coupling * sin(x) on the circle of
+    length 2 pi.
 
     With drift sum_j w_ij K(theta_i - theta_j) this pulls each phase toward
     its neighbours (the synchronizing sign).  Per-oscillator natural
     frequencies enter through self_drift (e.g. a function returning the
     frequencies broadcast to the state's shape); there are none by default.
+    Its modes, from sin(x - y) = sin x cos y - cos x sin y, turn the drift
+    into the local order parameters sum_j w_ij cos x_j and sum_j w_ij sin x_j.
     """
     c = float(coupling)
 
@@ -97,9 +123,10 @@ def kuramoto(coupling: float = 1.0, period: float = 2.0 * math.pi) -> Kernel:
         l1_norm=4.0 * c,      # integral of |sin| over one period
         div_sup=c,
         zero_at_origin=True,
-        domain=Domain("torus", period),
+        domain=Domain("torus", 2.0 * math.pi),
         name="kuramoto",
         odd=True,
+        modes=((lambda x: -c * np.sin(x), np.cos), (lambda x: c * np.cos(x), np.sin)),
     )
 
 

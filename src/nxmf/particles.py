@@ -2,8 +2,14 @@
 
 Integrates dX_i = sum_j w_ij K(X_i - X_j) dt (+ optional self dynamics)
 + sigma dB_i for a batch of replicas with one explicit integrator,
-`integrate`.  Drift evaluation traverses stored weight entries only, so the
-cost is O(nnz).
+`integrate`.  The drift, `drift_batch`, takes one of two paths, chosen by
+the kernel:
+- a kernel with modes (Kuramoto) takes the low-rank path: per mode one
+  sparse matvec w @ b_r(X) and one product with a_r(X), so K is never
+  evaluated per entry and the transcendental work is O(N R), not O(nnz R);
+- every other kernel takes the entry path, which evaluates K on each stored
+  weight entry (each unordered pair once for a symmetric w and an odd K),
+  O(nnz R).
 """
 
 from __future__ import annotations
@@ -97,20 +103,33 @@ def _eval_block(k, by_agent, rows, cols, vals, out, xi, xj):
 def drift_batch(w, k, positions, scratch=None):
     """Drift for a stack of independent replicas, shape (R, N, d).
 
-    Work is entry-major and blocked: DRIFT_BLOCK // (R d) plan entries at a
-    time are gathered, subtracted and passed through k.eval in two small
-    buffers that stay in cache, and w_ij K lands in one (n_eval, R, d)
-    buffer that the row sum reads with no transpose.  Each step is
-    elementwise per entry, so the blocking does not change the result.
+    With k.modes the drift is sum_r a_r(X) * (w @ b_r(X)) on the (N, R d)
+    by-agent layout X, with no per-entry work; it matches the entry path
+    to rounding, not bitwise.  Each column of the matvec adds its row's
+    entries in stored order, so the result is bitwise independent of R.
+
+    On the entry path work is entry-major and blocked: DRIFT_BLOCK // (R d)
+    plan entries at a time are gathered, subtracted and passed through
+    k.eval in two small buffers that stay in cache, and w_ij K lands in one
+    (n_eval, R, d) buffer that the row sum reads with no transpose.  Each
+    step is elementwise per entry, so the blocking does not change the
+    result.
     For a symmetric w and an odd K each unordered pair is evaluated once,
     with results bitwise equal to evaluating every entry (see _drift_plan).
     scratch, from _drift_scratch for the same R, supplies the buffers;
     without it they are allocated per call.
     """
     r, n, d = positions.shape
+    by_agent = np.ascontiguousarray(positions.transpose(1, 0, 2))
+    if k.modes is not None:
+        x, csr = by_agent.reshape(n, r * d), w.csr()
+        total = None
+        for a_r, b_r in k.modes:
+            term = a_r(x) * (csr @ b_r(x))
+            total = term if total is None else total + term
+        return total.reshape(n, r, d).transpose(1, 0, 2)
     plan = _drift_plan(w, k)
     kv, a, b = _drift_scratch(w, k, r, d) if scratch is None else scratch
-    by_agent = np.ascontiguousarray(positions.transpose(1, 0, 2))
     n_eval, step = plan.rows.size, a.shape[0]
     if step >= n_eval:      # one block: no views to cut
         _eval_block(k, by_agent, plan.rows, plan.cols, plan.vals, kv, a, b)
@@ -189,7 +208,8 @@ def integrate(w: SparseWeights, k: Kernel, x0, times, dt: float, sigma: float = 
     out = np.empty((len(spans), n_rep, n, d))
     for lo in range(0, n_rep, CHUNK):
         pos = x0[lo:lo + CHUNK]
-        scratch = _drift_scratch(w, k, pos.shape[0], d)    # reused by every step of the chunk
+        # reused by every step of the chunk; the low-rank path needs none
+        scratch = None if k.modes is not None else _drift_scratch(w, k, pos.shape[0], d)
         s = 0
         for ti, (n_steps, h) in enumerate(spans):
             for _ in range(n_steps):

@@ -125,6 +125,8 @@ BAD_MUTATIONS = [
     ("graph", {"kind": "edge_list", "path": 5}),
     ("graph.perm", ["a", 1, 2, 3]),
     ("kernel.preset", ["kuramoto"]),
+    ("grid.topology", "torus"),      # a line kernel on a torus grid
+    ("kernel", {"preset": "kuramoto"}),   # a torus kernel on a line grid
     ("kernel.amplitude", 10**400),
     ("init", {"kind": "fibers", "fibers": [[5]]}),
     ("time.snapshots", []),
@@ -132,6 +134,20 @@ BAD_MUTATIONS = [
     ("output", 5),
     ("out_dir", 5),
     ("seed", 2**64),
+]
+
+
+# the golden config with the Kuramoto kernel on its torus
+TORUS = {**GOLDEN, "kernel": {"preset": "kuramoto", "coupling": 1.0},
+         "grid": {"x_min": 0.0, "x_max": 2 * math.pi, "cells": 64, "topology": "torus"}}
+
+# mutations of TORUS that must each be rejected, with the field they name
+BAD_TORUS_MUTATIONS = [
+    ("grid.topology", "line", "grid.topology"),
+    ("grid.x_max", 6.0, "grid.x_max"),              # the torus is not the kernel's period
+    ("grid.x_min", -math.pi, "grid.x_max"),
+    ("grid.x_max", 2 * math.pi * (1 + 1e-11), "grid.x_max"),
+    ("kernel.period", 3.0, "kernel"),               # kuramoto's period is 2 pi
 ]
 
 
@@ -145,6 +161,7 @@ GRAPH_VARIANTS = {
     "edge_list": {**GOLDEN, "graph": {"kind": "edge_list", "path": "edges.txt"}},
     "fibers": {**GOLDEN, "output": {"binary_density": True},
                "init": {"kind": "fibers", "fibers": [[{"mean": 0.0, "std": 1.0, "weight": 1.0}]]}},
+    "torus": TORUS,
 }
 
 
@@ -188,6 +205,24 @@ class TestConfig:
     def test_mutations_rejected(self, path, value):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(mutate(path, value))
+
+    @pytest.mark.parametrize("path,value,field", BAD_TORUS_MUTATIONS,
+                             ids=[f"{p}={_short_repr(v)}" for p, v, _ in BAD_TORUS_MUTATIONS])
+    def test_torus_mutations_rejected(self, path, value, field):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(mutate(path, value, base=TORUS))
+        assert exc.value.path == field
+
+    @pytest.mark.parametrize("path,value", [("grid.topology", "torus"),
+                                            ("kernel", {"preset": "kuramoto"})])
+    def test_domain_mismatch_names_topology(self, path, value):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(mutate(path, value))
+        assert exc.value.path == "grid.topology"
+
+    def test_torus_loads(self):
+        cfg = ExperimentConfig.from_dict(copy.deepcopy(TORUS))
+        assert (cfg.kernel.name, cfg.grid.topology) == ("kuramoto", "torus")
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(ConfigError, match="line"):
@@ -279,6 +314,16 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(mutate("grid.cells", 4)))
         assert main(["solve", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "convergence"])
+    def test_torus_config_exit_codes(self, command, tmp_path, capsys):
+        # Kuramoto runs on its torus and exits 2 on a line grid, naming the field
+        good, bad = tmp_path / "torus.json", tmp_path / "line.json"
+        good.write_text(json.dumps(TORUS))
+        bad.write_text(json.dumps(mutate("grid.topology", "line", base=TORUS)))
+        assert main([command, "--config", str(good), "--out", str(tmp_path / "out")]) == 0
+        assert main([command, "--config", str(bad), "--out", str(tmp_path / "bad")]) == 2
+        assert "grid.topology" in capsys.readouterr().err
 
     def test_non_finite_config_exit_code(self, tmp_path, capsys):
         # json reads the Infinity literal; an infinite t_end must not start a solve

@@ -18,7 +18,7 @@ from nxmf import (
 from nxmf import particles
 from nxmf.kernels import LINE, Kernel
 from nxmf.particles import drift_batch
-from nxmf.weights import SparseWeights
+from nxmf.weights import SparseWeights, check_scaling
 from conftest import pure_linear_kernel, random_sparse_weights, random_symmetric_weights
 
 
@@ -52,7 +52,9 @@ def odd_2d():
                   zero_at_origin=True, odd=True)
 
 
-ODD_KERNELS = {"kuramoto": kuramoto, "linear_attraction": linear_attraction, "odd_2d": odd_2d}
+# kuramoto without its modes: these kernels check the entry path
+ODD_KERNELS = {"kuramoto": lambda: dataclasses.replace(kuramoto(), modes=None),
+               "linear_attraction": linear_attraction, "odd_2d": odd_2d}
 
 
 class TestDrift:
@@ -215,6 +217,36 @@ class TestDriftBlocks:
                 assert np.array_equal(got, want)
 
 
+def without_diagonal(w):
+    off = w.rows0 != w.cols0
+    return SparseWeights(w.n_agents, w.rows0[off], w.cols0[off], w.values[off])
+
+
+class TestLowRankDrift:
+    @pytest.mark.parametrize("n_rep", [1, 36, 64, 70])
+    @pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "no_diagonal"])
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
+    def test_matches_entry_path(self, rng, n_rep, diagonal, symmetric):
+        # the order-parameter drift differs from the entry path by rounding only
+        w = (random_symmetric_weights if symmetric else random_sparse_weights)(rng, 30, 0.5)
+        if not diagonal:
+            w = without_diagonal(w)
+        assert np.any(w.rows0 == w.cols0) == diagonal
+        assert (w.transpose_index() is not None) == symmetric
+        k = kuramoto(0.8)
+        x = rng.uniform(0.0, 2 * math.pi, (n_rep, 30, 1))
+        low_rank = drift_batch(w, k, x)
+        entries = drift_batch(w, dataclasses.replace(k, modes=None), x)
+        bound = check_scaling(w).max_row_abs_sum * k.sup_norm
+        assert 0 < np.abs(low_rank - entries).max() <= 1e-14 * bound
+
+    def test_integrate_allocates_no_scratch(self, rng):
+        w = random_sparse_weights(rng, 6)
+        with mock.patch.object(particles, "_drift_scratch", side_effect=AssertionError):
+            out = integrate(w, kuramoto(), rng.uniform(0.0, 6.0, (3, 6, 1)), [0.1], 0.05, 0.3, 2)
+        assert np.all((out >= 0.0) & (out < 2 * math.pi))
+
+
 class TestOddKernel:
     @pytest.mark.parametrize("k_eval", [lambda x: x**2, lambda x: -x + 1e-3])
     def test_not_odd_rejected(self, k_eval):
@@ -222,9 +254,21 @@ class TestOddKernel:
             Kernel(dim=1, eval=k_eval, lipschitz=1.0, sup_norm=1.0, l1_norm=1.0, div_sup=1.0,
                    zero_at_origin=False, domain=LINE, odd=True)
 
+    @pytest.mark.parametrize("modes", [
+        ((np.sin, np.cos), (np.cos, np.sin)),                       # sin(x + y)
+        ((lambda x: -np.sin(x), np.cos),),                          # one mode missing
+        ((lambda x: -np.sin(x), np.cos), (lambda x: (1 + 1e-9) * np.cos(x), np.sin)),
+        (),
+    ], ids=["wrong_sign", "missing_mode", "off_by_1e-9", "empty"])
+    def test_modes_not_reproducing_eval_rejected(self, modes):
+        with pytest.raises(ValueError, match="modes"):
+            Kernel(dim=1, eval=lambda x: -np.sin(x), lipschitz=1.0, sup_norm=1.0, l1_norm=4.0,
+                   div_sup=1.0, zero_at_origin=True, modes=modes)
+
     def test_presets_are_odd(self):
         assert kuramoto().odd and linear_attraction().odd and TestHodgkinHuxley().make().odd
         assert odd_2d().odd and not pure_linear_kernel().odd
+        assert kuramoto().modes is not None and linear_attraction().modes is None
 
 
 def one(positions):
@@ -342,24 +386,25 @@ class TestReproducibility:
     def test_replica_independent_of_count_and_chunking(self, sigma, chunk, seed, n):
         # 70 replicas in chunks of `chunk` against 130 in the fixed chunks of
         # 64: the shared replicas must follow bitwise the same trajectories
+        # on the entry path (linear_attraction) and the low-rank path (kuramoto)
         rng = np.random.default_rng(seed)
         w = random_sparse_weights(rng, n, density=0.6)
         x0 = rng.standard_normal((130, n, 1))
-        k = linear_attraction()
-        many = integrate(w, k, x0, [0.05, 0.1], 0.05, sigma, seed)
-        with mock.patch.object(particles, "CHUNK", chunk):
-            few = integrate(w, k, x0[:70], [0.05, 0.1], 0.05, sigma, seed)
-        assert np.array_equal(few, many[:, :70])
+        for k in (linear_attraction(), kuramoto()):
+            many = integrate(w, k, x0, [0.05, 0.1], 0.05, sigma, seed)
+            with mock.patch.object(particles, "CHUNK", chunk):
+                few = integrate(w, k, x0[:70], [0.05, 0.1], 0.05, sigma, seed)
+            assert np.array_equal(few, many[:, :70])
 
     def test_split_times_same_final_state(self, rng):
         # the same 4-step partition with or without an intermediate output:
         # the noise key is the global step, not the step within a span
         w = random_sparse_weights(rng, 8)
         x0 = rng.standard_normal((3, 8, 1))
-        k = linear_attraction()
-        split = integrate(w, k, x0, [0.1, 0.2], 0.05, 0.3, 11)
-        whole = integrate(w, k, x0, [0.2], 0.05, 0.3, 11)
-        assert np.array_equal(split[-1], whole[-1])
+        for k in (linear_attraction(), kuramoto()):
+            split = integrate(w, k, x0, [0.1, 0.2], 0.05, 0.3, 11)
+            whole = integrate(w, k, x0, [0.2], 0.05, 0.3, 11)
+            assert np.array_equal(split[-1], whole[-1])
 
 
 class TestHodgkinHuxley:
