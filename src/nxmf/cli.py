@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, seeding
 from .config import SEED_MAX, ExperimentConfig, canonical_json, check_number
-from .metrics import GapReport, independence_gap, meanfield_gap
+from .metrics import GapReport, convergence_gaps
 from .observables import (
     LatticeBudgetError,
     hierarchy,
@@ -56,15 +56,16 @@ def _fmt(v) -> str:
 def _column_text(col) -> list[str]:
     """The CSV fields of one column, in order.
 
-    A float64 array is formatted once per distinct bit pattern; the int64
-    view keeps -0.0 apart from 0.0 and each NaN payload apart.  Any other
-    column goes through `_fmt` one value at a time.
+    A float64 or integer array goes through `_fmt` once per distinct value;
+    a float64 one is keyed by its int64 view, which keeps -0.0 apart from 0.0
+    and each NaN payload apart.  Any other column goes through `_fmt` one
+    value at a time.
     """
-    if isinstance(col, np.ndarray) and col.dtype == np.float64:
-        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-        text = np.array([FLOAT_FMT.format(v) for v in bits.view(np.float64).tolist()],
-                        dtype=object)
-        return text[inverse].tolist()
+    if isinstance(col, np.ndarray) and (col.dtype == np.float64 or col.dtype.kind in "iu"):
+        is_float = col.dtype == np.float64
+        keys, inverse = np.unique(col.view(np.int64) if is_float else col, return_inverse=True)
+        values = keys.view(np.float64) if is_float else keys
+        return np.array([_fmt(v) for v in values.tolist()], dtype=object)[inverse].tolist()
     return [_fmt(v) for v in (col.tolist() if isinstance(col, np.ndarray) else col)]
 
 
@@ -271,18 +272,25 @@ def cmd_rearrange(cfg: ExperimentConfig, em: Emitter, seed: int):
 
 def cmd_convergence(cfg: ExperimentConfig, em: Emitter, seed: int):
     """Independence gap at t_end over max(100, replicas) replicas, and the
-    mean-field gap at each snapshot over max(2, replicas) seeds; the
-    `seeds` column of each CSV records the count used."""
+    mean-field gap at each snapshot over the first max(2, replicas) of
+    them; the `seeds` column of each CSV records the count used.
+
+    One particle run and one solve feed both gaps (metrics.convergence_gaps).
+    The reports are independence_gap's and meanfield_gap's bit for bit when
+    every snapshot lies on the dt grid of [0, t_end] and t_end is the last
+    snapshot, as in the README config; otherwise an off-grid snapshot
+    changes the independence run's steps, and a last snapshot before t_end
+    reads solve's nearest completed step.
+    """
     w = cfg.build_weights(seed)
-    laws, dt = cfg.build_laws(w.n_agents), cfg.dt or PARTICLE_DT
-    rep = independence_gap(w, cfg.kernel, laws, cfg.grid, cfg.t_end, dt, seed,
-                           n_replicas=max(100, cfg.replicas), sigma=cfg.sigma)
+    indep, meanfield = convergence_gaps(
+        w, cfg.kernel, cfg.build_laws(w.n_agents), cfg.grid, cfg.t_end, cfg.snapshots,
+        cfg.dt or PARTICLE_DT, seed, n_replicas=max(100, cfg.replicas),
+        n_seeds=max(2, cfg.replicas), sigma=cfg.sigma)
     em.write_csv("independence_gap.csv", ["t", "gap", "bound", "stderr", "seeds"],
-                 _gap_columns([rep]))
-    reports = meanfield_gap(w, cfg.kernel, laws, cfg.grid, cfg.snapshots, dt, seed,
-                            n_seeds=max(2, cfg.replicas), sigma=cfg.sigma)
+                 _gap_columns([indep]))
     em.write_csv("meanfield_gap.csv", ["t", "gap", "bound", "stderr", "seeds"],
-                 _gap_columns(reports))
+                 _gap_columns(meanfield))
 
 
 COMMANDS = {

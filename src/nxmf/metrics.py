@@ -14,6 +14,8 @@ report carries its own estimator tolerance (3 * stderr + dx): expectations
 are seed averages, so bounds are only meaningful together with the Monte
 Carlo and grid resolution.  With path noise the seed average conflates
 initial and path randomness; both are driven by the same master seed.
+convergence_gaps computes both estimates from one particle run and one
+solve.
 
 The estimators compute their W1 distances in batches (_w1_atoms_vs_grid):
 each row of samples is sorted, its fiber validated and its knots merged
@@ -31,8 +33,8 @@ import numpy as np
 
 from . import seeding
 from .kernels import Kernel
-from .particles import integrate
-from .pde import FiberedDensity, Grid1D, SolveResult, gaussian_fibers, marginal, solve
+from .particles import _spans, integrate
+from .pde import FiberedDensity, Grid1D, gaussian_fibers, marginal, solve
 from .weights import SparseWeights, check_scaling
 
 MASS_TOL = 1e-9
@@ -286,6 +288,50 @@ class AgentLawSpec:
                          for r in range(n_replicas)])
 
 
+def _run(w, k, laws: AgentLawSpec, grid: Grid1D, times, t_end, dt, master_seed, n_replicas,
+         sigma):
+    """Positions of replicas 0..n_replicas-1 at each sorted time, shape
+    (len(times), R, N), and the fibers solved to t_end nearest each time."""
+    traj = integrate(w, k, laws.sample_replicas(master_seed, n_replicas), times, dt, sigma,
+                     master_seed)[..., 0]
+    res = solve(laws.fibers(grid), w, k, nu=0.5 * sigma * sigma, t_end=t_end, output_times=times)
+    return traj, res.snapshots
+
+
+def _bound(t, scaling, k: Kernel) -> float:
+    return c1(t, scaling.max_row_abs_sum, k.w1inf_norm) * math.sqrt(scaling.max_entry_abs)
+
+
+def _independence_report(samples, fibers, grid: Grid1D, t, scaling, k: Kernel, master_seed,
+                         n_bootstrap) -> GapReport:
+    """The independence gap from replica positions (R, N) at time t and the
+    fibers solved to t."""
+    n_replicas = samples.shape[0]
+    # draw 0 weights every replica equally; the bootstrap draws follow it
+    brng = seeding.stream(master_seed, seeding.BOOTSTRAP)
+    counts = [np.ones(n_replicas, dtype=np.int64)]
+    counts += [brng.multinomial(n_replicas, np.full(n_replicas, 1.0 / n_replicas))
+               for _ in range(n_bootstrap)]
+    dist = _w1_atoms_vs_grid(samples.T, grid, fibers.values, np.stack(counts) / n_replicas)
+    return GapReport(t=t, gap=float(dist[0].max()), bound=_bound(t, scaling, k),
+                     stderr=float(dist[1:].max(axis=1).std(ddof=1)), seeds=n_replicas,
+                     dx=grid.dx)
+
+
+def _meanfield_reports(traj, snapshots, grid: Grid1D, times, scaling,
+                       k: Kernel) -> list[GapReport]:
+    """The mean-field gaps from seed positions (len(times), S, N) and the
+    fibers solved near each time."""
+    n_times, n_seeds, n = traj.shape
+    per_time = _w1_atoms_vs_grid(traj.reshape(n_times * n_seeds, n), grid,
+                                 np.repeat([marginal(s) for s in snapshots], n_seeds, axis=0),
+                                 np.full((1, n), 1.0 / n))[0].reshape(n_times, n_seeds)
+    return [GapReport(t=t, gap=float(vals.mean()), bound=_bound(t, scaling, k),
+                      stderr=float(vals.std(ddof=1) / math.sqrt(n_seeds)) if n_seeds > 1 else 0.0,
+                      seeds=n_seeds, dx=grid.dx)
+            for t, vals in zip(times, per_time)]
+
+
 def independence_gap(w: SparseWeights, k: Kernel, laws: AgentLawSpec, grid: Grid1D,
                      t_end: float, dt: float, master_seed: int, n_replicas: int,
                      sigma: float = 0.0, n_bootstrap: int = 64) -> GapReport:
@@ -302,24 +348,9 @@ def independence_gap(w: SparseWeights, k: Kernel, laws: AgentLawSpec, grid: Grid
     if k.dim != 1:
         raise ValueError("gap diagnostics are 1-D")
     scaling = check_scaling(w)
-    samples = integrate(w, k, laws.sample_replicas(master_seed, n_replicas), [t_end], dt,
-                        sigma, master_seed)[0, :, :, 0]
-    nu = 0.5 * sigma * sigma
-    res = solve(laws.fibers(grid), w, k, nu=nu, t_end=t_end, output_times=[t_end])
-    fibers = res.snapshots[0]
-
-    # draw 0 weights every replica equally; the bootstrap draws follow it
-    brng = seeding.stream(master_seed, seeding.BOOTSTRAP)
-    counts = [np.ones(n_replicas, dtype=np.int64)]
-    counts += [brng.multinomial(n_replicas, np.full(n_replicas, 1.0 / n_replicas))
-               for _ in range(n_bootstrap)]
-    dist = _w1_atoms_vs_grid(samples.T, grid, fibers.values, np.stack(counts) / n_replicas)
-    gap = float(dist[0].max())
-    stderr = float(dist[1:].max(axis=1).std(ddof=1))
-
-    bound = c1(t_end, scaling.max_row_abs_sum, k.w1inf_norm) * math.sqrt(scaling.max_entry_abs)
-    return GapReport(t=t_end, gap=gap, bound=bound, stderr=stderr,
-                     seeds=n_replicas, dx=grid.dx)
+    traj, fibers = _run(w, k, laws, grid, [t_end], t_end, dt, master_seed, n_replicas, sigma)
+    return _independence_report(traj[0], fibers[0], grid, t_end, scaling, k, master_seed,
+                                n_bootstrap)
 
 
 def meanfield_gap(w: SparseWeights, k: Kernel, laws: AgentLawSpec, grid: Grid1D,
@@ -339,25 +370,42 @@ def meanfield_gap(w: SparseWeights, k: Kernel, laws: AgentLawSpec, grid: Grid1D,
     if not times:
         raise ValueError("need at least one output time")
     scaling = check_scaling(w)
-    traj = integrate(w, k, laws.sample_replicas(master_seed, n_seeds), times, dt, sigma,
-                     master_seed)
-    nu = 0.5 * sigma * sigma
-    res: SolveResult = solve(laws.fibers(grid), w, k, nu=nu,
-                             t_end=times[-1], output_times=times)
-    marginals = [marginal(s) for s in res.snapshots]
+    traj, fibers = _run(w, k, laws, grid, times, times[-1], dt, master_seed, n_seeds, sigma)
+    return _meanfield_reports(traj, fibers, grid, times, scaling, k)
 
-    n = laws.n_agents
-    per_time = _w1_atoms_vs_grid(traj[..., 0].reshape(len(times) * n_seeds, n), grid,
-                                 np.repeat(marginals, n_seeds, axis=0),
-                                 np.full((1, n), 1.0 / n))[0].reshape(len(times), n_seeds)
-    reports = []
-    root_entry = math.sqrt(scaling.max_entry_abs)
-    for ti, t in enumerate(times):
-        vals = per_time[ti]
-        reports.append(GapReport(
-            t=t, gap=float(vals.mean()),
-            bound=c1(t, scaling.max_row_abs_sum, k.w1inf_norm) * root_entry,
-            stderr=float(vals.std(ddof=1) / math.sqrt(n_seeds)) if n_seeds > 1 else 0.0,
-            seeds=n_seeds, dx=grid.dx,
-        ))
-    return reports
+
+def convergence_gaps(w: SparseWeights, k: Kernel, laws: AgentLawSpec, grid: Grid1D,
+                     t_end: float, snapshots, dt: float, master_seed: int, n_replicas: int,
+                     n_seeds: int, sigma: float = 0.0,
+                     n_bootstrap: int = 64) -> tuple[GapReport, list[GapReport]]:
+    """independence_gap at t_end over n_replicas replicas and meanfield_gap
+    at each snapshot over the first n_seeds of them, from one particle run
+    to the snapshots and t_end and one solve to t_end.
+
+    A replica's trajectory does not depend on the replica count, so the
+    seeds are those meanfield_gap would run.  Both reports equal the two
+    estimators' bit for bit when every snapshot lies on the dt grid of
+    [0, t_end] and t_end is the last snapshot.  Otherwise an off-grid
+    snapshot changes the independence run's steps, and a last snapshot
+    before t_end reads solve's nearest completed step, not a step clipped
+    to it.  The stability guard is also checked on the steps
+    independence_gap would take, so the same inputs are rejected.
+    """
+    if n_replicas < 100:
+        raise ValueError("need at least 100 replicas for a usable estimate")
+    if k.dim != 1:
+        raise ValueError("gap diagnostics are 1-D")
+    snaps = sorted(float(t) for t in snapshots)
+    if not snaps:
+        raise ValueError("need at least one output time")
+    if not 1 <= n_seeds <= n_replicas:
+        raise ValueError("need 1 <= n_seeds <= n_replicas")
+    scaling = check_scaling(w)
+    times = sorted(set(snaps) | {float(t_end)})
+    traj, fibers = _run(w, k, laws, grid, times, t_end, dt, master_seed, n_replicas, sigma)
+    _spans(w, k, [t_end], dt)          # the guard on independence_gap's steps
+    at = np.searchsorted(times, snaps)
+    return (_independence_report(traj[-1], fibers[-1], grid, t_end, scaling, k, master_seed,
+                                 n_bootstrap),
+            _meanfield_reports(traj[at, :n_seeds], [fibers[i] for i in at], grid, snaps,
+                               scaling, k))

@@ -255,12 +255,16 @@ def gen_from_graphon(n, g, rng_seed=None, mode="midpoint"):
     on the full n x n grid, diagonal included.  bernoulli mode samples an
     unweighted random graph with edge probability clip(g, 0, 1) at the
     midpoints and weight 1/n per sampled edge.
+
+    g is called once, with the (n, n) arrays of row and column midpoints,
+    and must work elementwise on them; a scalar result (a constant g) is
+    broadcast to every cell.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     pts = (np.arange(n) + 0.5) / n
     xi, ze = np.meshgrid(pts, pts, indexing="ij")
-    gv = np.asarray(np.vectorize(g)(xi, ze), dtype=np.float64)
+    gv = np.broadcast_to(np.asarray(g(xi, ze), dtype=np.float64), (n, n))
     if mode == "midpoint":
         vals = gv / n
         ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nxmf import cli
+from nxmf import Law1D, c1, check_scaling, cli, integrate, marginal, metrics, seeding, solve, w1
 from nxmf.cli import main
 from nxmf.config import ConfigError, ExperimentConfig, canonical_json
 
@@ -190,6 +190,22 @@ class TestConfig:
         assert cfg.grid.n_cells == 64
         assert cfg.build_laws(8).n_agents == 8
 
+    @pytest.mark.parametrize("mode", ["midpoint", "bernoulli"])
+    def test_graphon_product_matches_per_cell_evaluation(self, mode):
+        # the graphon is called once on the midpoint arrays; the reference
+        # calls it once per cell on Python floats
+        n, scale, seed = 7, 0.75, 3
+        doc = mutate("graph", {"kind": "graphon_product", "n": n, "scale": scale, "mode": mode})
+        w = ExperimentConfig.from_dict(doc).build_weights(seed)
+        pts = [(i + 0.5) / n for i in range(n)]
+        g = np.array([[scale * x * z for z in pts] for x in pts])
+        if mode == "midpoint":
+            ref = g / n
+        else:
+            draws = seeding.stream(seed, seeding.GRAPH).random((n, n))
+            ref = np.where(draws < np.clip(g, 0.0, 1.0), 1.0 / n, 0.0)
+        assert np.array_equal(w.to_dense().view(np.uint64), ref.view(np.uint64))
+
     def test_text_round_trip_lossless(self):
         cfg = ExperimentConfig.from_dict(copy.deepcopy(GOLDEN))
         text1 = cfg.to_text()
@@ -290,6 +306,17 @@ def config_file(tmp_path):
 
 def manifest_outputs(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())["outputs"]
+
+
+def gap_rows(path):
+    """The rows of a gap CSV; %.17g fields read back bit-exact."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == "t,gap,bound,stderr,seeds"
+    return [(*map(float, line.split(",")[:4]), int(line.split(",")[4])) for line in lines[1:]]
+
+
+def report_rows(reports):
+    return [(r.t, r.gap, r.bound, r.stderr, r.seeds) for r in reports]
 
 
 class TestCli:
@@ -538,6 +565,75 @@ class TestCli:
             rows = list(csvmod.DictReader((out / name).open()))
             assert rows and {r["seeds"] for r in rows} == {seeds}
 
+    @pytest.mark.parametrize("name, doc", [
+        ("golden", GOLDEN),
+        ("golden_on_grid", mutate("time.dt", 0.025)),
+        ("readme", README_CONFIG),
+    ])
+    def test_convergence_matches_public_estimators(self, name, doc, tmp_path):
+        # one shared run feeds both CSVs; the mean-field rows always equal
+        # meanfield_gap here (t_end is the last snapshot), and the
+        # independence row equals independence_gap when every snapshot lies
+        # on the dt grid: GOLDEN's 0.05 is off its 0.02 grid
+        path = tmp_path / "conv.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "conv_out"
+        assert main(["convergence", "--config", str(path), "--out", str(out)]) == 0
+        cfg = ExperimentConfig.from_dict(copy.deepcopy(doc))
+        w = cfg.build_weights(cfg.seed)
+        laws = cfg.build_laws(w.n_agents)
+        meanfield = metrics.meanfield_gap(w, cfg.kernel, laws, cfg.grid, cfg.snapshots, cfg.dt,
+                                          cfg.seed, max(2, cfg.replicas), cfg.sigma)
+        assert gap_rows(out / "meanfield_gap.csv") == report_rows(meanfield)
+        if name != "golden":
+            indep = metrics.independence_gap(w, cfg.kernel, laws, cfg.grid, cfg.t_end, cfg.dt,
+                                             cfg.seed, max(100, cfg.replicas), cfg.sigma)
+            assert gap_rows(out / "independence_gap.csv") == report_rows([indep])
+
+    def test_convergence_runs_particles_and_solver_once(self, config_file, tmp_path, monkeypatch):
+        calls = {"integrate": 0, "solve": 0}
+
+        def counted(name):
+            real = getattr(metrics, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(metrics, name, counted(name))
+        out = tmp_path / "o"
+        assert main(["convergence", "--config", str(config_file), "--out", str(out)]) == 0
+        assert calls == {"integrate": 1, "solve": 1}
+
+    def test_convergence_off_grid_snapshots(self, tmp_path):
+        # 0.03 is off the 0.02 grid and the last snapshot precedes t_end:
+        # the mean-field rows read the first max(2, replicas) = 2 of the
+        # 100 replicas run to every snapshot and t_end, against a solve to t_end
+        doc = mutate("replicas", ...)
+        doc["time"] = {"t_end": 0.1, "snapshots": [0.0, 0.03, 0.07], "dt": 0.02}
+        path = tmp_path / "offgrid.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "offgrid_out"
+        assert main(["convergence", "--config", str(path), "--out", str(out)]) == 0
+        cfg = ExperimentConfig.from_dict(copy.deepcopy(doc))
+        w, k, grid = cfg.build_weights(cfg.seed), cfg.kernel, cfg.grid
+        laws = cfg.build_laws(w.n_agents)
+        times = [0.0, 0.03, 0.07, 0.1]
+        traj = integrate(w, k, laws.sample_replicas(cfg.seed, 100), times, 0.02, 0.0, cfg.seed)
+        res = solve(laws.fibers(grid), w, k, nu=0.0, t_end=0.1, output_times=times)
+        scaling = check_scaling(w)
+        expected = []
+        for ti, t in enumerate(times[:3]):
+            law = Law1D.from_grid(grid, marginal(res.snapshots[ti]))
+            vals = np.array([w1(Law1D.from_atoms(traj[ti, s, :, 0]), law) for s in range(2)])
+            bound = c1(t, scaling.max_row_abs_sum, k.w1inf_norm) * math.sqrt(scaling.max_entry_abs)
+            stderr = float(vals.std(ddof=1) / math.sqrt(2))
+            expected.append((t, float(vals.mean()), bound, stderr, 2))
+        assert gap_rows(out / "meanfield_gap.csv") == expected
+        assert [row[-1] for row in gap_rows(out / "independence_gap.csv")] == [100]
+
     def test_binary_lattice_header(self, tmp_path):
         doc = copy.deepcopy(GOLDEN)
         doc["observables"] = {"n_max": 3, "lambda": 1.0}
@@ -611,6 +707,15 @@ class TestWriteCsv:
         text = got.decode()
         assert "-0," in text and ",0," in text and "nan" in text and "-inf" in text
         assert '"-,1"' in text and '"say ""hi"""' in text
+
+    @pytest.mark.parametrize("dtype, values", [
+        (np.int64, [3, -(2**63), 0, 2**63 - 1, 3, -1, 0]),
+        (np.uint64, [2**64 - 1, 0, 5, 5]),
+    ])
+    def test_integer_array_matches_list(self, dtype, values, tmp_path):
+        as_array, _ = self.written(tmp_path / "array", [np.array(values, dtype=dtype)])
+        as_list, _ = self.written(tmp_path / "list", [list(values)])
+        assert as_array == as_list == reference_csv(["c0"], zip(values)).encode()
 
     def test_digest_read_in_blocks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "HASH_BLOCK", 7)

@@ -189,7 +189,7 @@ class TestGenerators:
         assert w.to_dense()[0, 0] == (0.25 * 0.25) / 2
 
     def test_graphon_row_sum_bounded_by_sup(self):
-        g = lambda x, z: 0.5 + 0.4 * math.sin(7 * x) * math.cos(3 * z)
+        g = lambda x, z: 0.5 + 0.4 * np.sin(7 * x) * np.cos(3 * z)
         sup = 0.9
         for n in (4, 16, 64):
             rep = check_scaling(gen_from_graphon(n, g))
