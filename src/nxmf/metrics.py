@@ -376,8 +376,7 @@ def meanfield_gap(w: SparseWeights, k: Kernel, laws: AgentLawSpec, grid: Grid1D,
 
 def convergence_gaps(w: SparseWeights, k: Kernel, laws: AgentLawSpec, grid: Grid1D,
                      t_end: float, snapshots, dt: float, master_seed: int, n_replicas: int,
-                     n_seeds: int, sigma: float = 0.0,
-                     n_bootstrap: int = 64) -> tuple[GapReport, list[GapReport]]:
+                     n_seeds: int, sigma: float = 0.0) -> tuple[GapReport, list[GapReport]]:
     """independence_gap at t_end over n_replicas replicas and meanfield_gap
     at each snapshot over the first n_seeds of them, from one particle run
     to the snapshots and t_end and one solve to t_end.
@@ -390,6 +389,11 @@ def convergence_gaps(w: SparseWeights, k: Kernel, laws: AgentLawSpec, grid: Grid
     before t_end reads solve's nearest completed step, not a step clipped
     to it.  The stability guard is also checked on the steps
     independence_gap would take, so the same inputs are rejected.
+
+    Every replica steps once per span between the sorted times, so the run
+    saves work only while the snapshots are no closer together than dt:
+    denser snapshots make all n_replicas replicas take the steps that
+    meanfield_gap's n_seeds would take alone.
     """
     if n_replicas < 100:
         raise ValueError("need at least 100 replicas for a usable estimate")
@@ -401,11 +405,10 @@ def convergence_gaps(w: SparseWeights, k: Kernel, laws: AgentLawSpec, grid: Grid
     if not 1 <= n_seeds <= n_replicas:
         raise ValueError("need 1 <= n_seeds <= n_replicas")
     scaling = check_scaling(w)
+    _spans(w, k, [t_end], dt)          # the guard on independence_gap's steps
     times = sorted(set(snaps) | {float(t_end)})
     traj, fibers = _run(w, k, laws, grid, times, t_end, dt, master_seed, n_replicas, sigma)
-    _spans(w, k, [t_end], dt)          # the guard on independence_gap's steps
     at = np.searchsorted(times, snaps)
-    return (_independence_report(traj[-1], fibers[-1], grid, t_end, scaling, k, master_seed,
-                                 n_bootstrap),
+    return (_independence_report(traj[-1], fibers[-1], grid, t_end, scaling, k, master_seed, 64),
             _meanfield_reports(traj[at, :n_seeds], [fibers[i] for i in at], grid, snaps,
                                scaling, k))

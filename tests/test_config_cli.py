@@ -607,6 +607,18 @@ class TestCli:
         assert main(["convergence", "--config", str(config_file), "--out", str(out)]) == 0
         assert calls == {"integrate": 1, "solve": 1}
 
+    def test_convergence_checks_guard_before_running(self, tmp_path, monkeypatch):
+        # dt 1.0 breaks the guard on the single span to t_end: exit 3 before any step
+        def unreachable(*args, **kwargs):
+            raise AssertionError("ran past the stability guard")
+
+        for name in ("integrate", "solve"):
+            monkeypatch.setattr(metrics, name, unreachable)
+        doc = {**README_CONFIG, "time": {**README_CONFIG["time"], "dt": 1.0}}
+        path = tmp_path / "unstable.json"
+        path.write_text(json.dumps(doc))
+        assert main(["convergence", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+
     def test_convergence_off_grid_snapshots(self, tmp_path):
         # 0.03 is off the 0.02 grid and the last snapshot precedes t_end:
         # the mean-field rows read the first max(2, replicas) = 2 of the
