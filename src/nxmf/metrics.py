@@ -19,8 +19,9 @@ solve.
 
 The estimators compute their W1 distances in batches (_w1_atoms_vs_grid):
 each row of samples is sorted, its fiber validated and its knots merged
-once for the plain estimate and every bootstrap draw.  Each batched value
-is bitwise equal to w1 on the corresponding Law1D pair, which stays the
+once for the plain estimate and every bootstrap draw; a bootstrap draw's
+atoms of zero weight stay knots.  Each batched value is bitwise equal to
+w1 on the corresponding Law1D pair, zero weights included, which stays the
 public reference.
 """
 
@@ -125,12 +126,14 @@ def _w1_atoms_vs_grid(atoms, grid: Grid1D, densities, weights) -> np.ndarray:
     """W1 of atoms (rows, m) weighted by each of weights (draws, m) against
     grid densities (rows, G), shape (draws, rows).
 
-    Entry (d, r) is bitwise equal to w1(Law1D.from_atoms(x[keep], wd[keep]),
-    Law1D.from_grid(grid, v)) with x = atoms[r], wd = weights[d],
-    keep = wd > 0 and v = densities[r]: the same knots, CDF values and
-    segment arithmetic, and one 1-D sum per entry.  Each row is sorted,
-    validated and merged with the grid edges once for all draws; rows go in
-    blocks of W1_CHUNK (draw, row, knot) elements.
+    Entry (d, r) is bitwise equal to w1(Law1D.from_atoms(atoms[r],
+    weights[d]), Law1D.from_grid(grid, densities[r])): the same knots, CDF
+    values and segment arithmetic, and one sum over the row's segments.
+    Atoms of zero weight stay knots, so the knots (sorted atoms and grid
+    edges, repeats dropped), the atoms below each knot and the grid CDF are
+    computed once per row, and a draw adds only its cumulative weights.
+    Rows go in blocks of W1_CHUNK (draw, row, knot) elements, and the rows
+    of a block with equal knot counts in one dense (draw, row, knot) array.
     """
     x = np.asarray(atoms, dtype=np.float64)
     v = np.asarray(densities, dtype=np.float64)
@@ -161,42 +164,36 @@ def _w1_atoms_vs_grid(atoms, grid: Grid1D, densities, weights) -> np.ndarray:
 
 def _w1_block(x, edges, cdf, wv) -> np.ndarray:
     b, m = x.shape
-    n_draws, n_merged = wv.shape[0], m + edges.size
+    n_draws = wv.shape[0]
+    # per row: the sorted atoms merged with the edges; a knot is the first of
+    # each run of equal values, and the atoms <= it are counted at the run's end
     order = np.argsort(x, axis=1, kind="stable")
-    xs = np.take_along_axis(x, order, axis=1)
-    merged = np.concatenate((xs, np.broadcast_to(edges, (b, edges.size))), axis=1)
+    merged = np.concatenate((np.take_along_axis(x, order, axis=1),
+                             np.broadcast_to(edges, (b, edges.size))), axis=1)
     morder = np.argsort(merged, axis=1, kind="stable")
-    knots = np.take_along_axis(merged, morder, axis=1)
-    n_below = np.empty((b, n_merged), dtype=np.intp)     # atoms <= each knot
-    grid_cdf = np.empty((b, n_merged))
-    for r in range(b):
-        n_below[r] = np.searchsorted(xs[r], knots[r], side="right")
-        grid_cdf[r] = np.interp(knots[r], edges, cdf[r], left=0.0, right=1.0)
+    merged = np.take_along_axis(merged, morder, axis=1)
+    first = np.ones(merged.shape, bool)
+    first[:, 1:] = merged[:, 1:] != merged[:, :-1]
+    last = np.ones(merged.shape, bool)
+    last[:, :-1] = first[:, 1:]
+    below = np.cumsum(morder < m, axis=1)
+    counts = first.sum(axis=1)
+    # per draw: the cumulative weights, in each row's atom order
+    cum = np.zeros((n_draws, b, m + 1))
+    np.cumsum(wv[:, order], axis=2, out=cum[..., 1:])
 
-    # per draw: the atom CDF, and the merged knots that w1 would see (atoms
-    # of zero weight dropped, then repeated values dropped as np.unique does)
-    rank = np.empty_like(morder)
-    np.put_along_axis(rank, morder, np.arange(n_merged), axis=1)
-    ws = wv[:, order]                                           # (draws, b, m)
-    present = np.ones((n_draws, b, n_merged), bool)
-    present[:, np.arange(b)[:, None], rank[:, :m]] = ws > 0
-    idx = np.flatnonzero(present)
-    cell = idx % (b * n_merged)
-    group = idx // n_merged                                     # draw * b + row
-    kv = knots.ravel()[cell]
-    first = np.ones(idx.size, bool)
-    first[1:] = (kv[1:] != kv[:-1]) | (group[1:] != group[:-1])
-    cell, group, kv = cell[first], group[first], kv[first]
-    cum = np.zeros((n_draws * b, m + 1))
-    np.cumsum(ws.reshape(n_draws * b, m), axis=1, out=cum[:, 1:])
-    fa = cum.ravel()[group * (m + 1) + n_below.ravel()[cell]]
-    fb = grid_cdf.ravel()[cell]
-
-    inner = group[1:] == group[:-1]
-    seg = _segment_integrals(fa[:-1] - fb[:-1], fa[:-1] - fb[1:], kv[1:] - kv[:-1])[inner]
-    ends = np.cumsum(np.bincount(group[:-1][inner], minlength=n_draws * b))
-    starts = np.concatenate(([0], ends[:-1]))
-    return np.array([seg[s:e].sum() for s, e in zip(starts, ends)]).reshape(n_draws, b)
+    out = np.empty((n_draws, b))
+    for n_knots in np.unique(counts):          # rows with equal knot counts, dense
+        rs = np.flatnonzero(counts == n_knots)
+        knots = merged[rs][first[rs]].reshape(rs.size, n_knots)
+        at = below[rs][last[rs]].reshape(rs.size, n_knots)[:, :-1] + (m + 1) * rs[:, None]
+        fa = np.take(cum.reshape(n_draws, -1), at, axis=1)
+        fb = np.array([np.interp(kn, edges, cdf[r], left=0.0, right=1.0)
+                       for kn, r in zip(knots, rs)])
+        seg = _segment_integrals(fa - fb[:, :-1], fa - fb[:, 1:], np.diff(knots, axis=1))
+        # over a contiguous last axis the sum is the 1-D sum w1 takes
+        out[:, rs] = np.ascontiguousarray(seg).sum(axis=-1)
+    return out
 
 
 def c1(t: float, row_sum_bound: float, k_w1inf: float) -> float:
@@ -366,6 +363,8 @@ def meanfield_gap(w: SparseWeights, k: Kernel, laws: AgentLawSpec, grid: Grid1D,
     """
     if k.dim != 1:
         raise ValueError("gap diagnostics are 1-D")
+    if n_seeds < 1:
+        raise ValueError("need at least one seed")
     times = sorted(float(t) for t in times)
     if not times:
         raise ValueError("need at least one output time")

@@ -30,6 +30,8 @@ CHUNK = 64
 # (entry, replica, dim) elements per block of drift_batch, 256 KB per block
 # buffer; no result depends on it
 DRIFT_BLOCK = 1 << 15
+# (replica, step) noise keys hashed at once by integrate; no result depends on it
+KEY_BATCH = 1 << 16
 
 
 class StabilityError(RuntimeError):
@@ -182,6 +184,9 @@ def integrate(w: SparseWeights, k: Kernel, x0, times, dt: float, sigma: float = 
     (NOISE, r, s) stream and replicas advance in fixed chunks, so a
     replica's trajectory is bitwise independent of the replica count, the
     chunking and of how the times are split (for the same step partition).
+    The keys of a chunk's streams are hashed in batches of steps
+    (seeding.philox_keys), and each step draws the chunk's block at once
+    (seeding.normal_block).
     Raises StabilityError when a step violates the stability guard or
     leaves a non-finite state.
     """
@@ -205,18 +210,27 @@ def integrate(w: SparseWeights, k: Kernel, x0, times, dt: float, sigma: float = 
             total = total + k.self_drift(p)
         return total
 
+    def noise_keys(lo, n_chunk):
+        # the (NOISE, r, s) keys of replicas lo.. lo + n_chunk - 1, one
+        # (n_chunk, 2) array per global step s, hashed KEY_BATCH slots at a time
+        total, batch = sum(n_steps for n_steps, _ in spans), max(1, KEY_BATCH // n_chunk)
+        for s0 in range(0, total, batch):
+            r, s = np.meshgrid(np.arange(lo, lo + n_chunk), np.arange(s0, min(s0 + batch, total)))
+            counters = np.column_stack((r.ravel(), s.ravel()))
+            yield from seeding.philox_keys(master_seed, (seeding.NOISE,), counters).reshape(
+                *r.shape, 2)
+
     out = np.empty((len(spans), n_rep, n, d))
     for lo in range(0, n_rep, CHUNK):
         pos = x0[lo:lo + CHUNK]
         # reused by every step of the chunk; the low-rank path needs none
         scratch = None if k.modes is not None else _drift_scratch(w, k, pos.shape[0], d)
+        keys = noise_keys(lo, pos.shape[0]) if sigma > 0 else None
         s = 0
         for ti, (n_steps, h) in enumerate(spans):
             for _ in range(n_steps):
                 if sigma > 0:
-                    noise = np.stack([
-                        seeding.normal_block(master_seed, (seeding.NOISE, r, s), (n, d))
-                        for r in range(lo, lo + pos.shape[0])])
+                    noise = seeding.normal_block(next(keys), (n, d))
                     pos = pos + h * rhs(pos) + sigma * math.sqrt(h) * noise
                 else:
                     k1 = rhs(pos)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -154,17 +155,44 @@ def _spectrum(g: Grid1D, k: Kernel) -> np.ndarray:
     return np.fft.rfft(_kernel_samples(k, off), n=2 * G)
 
 
-def _convolve(vals: np.ndarray, g: Grid1D, kh: np.ndarray) -> np.ndarray:
-    """Each row of vals convolved with the kernel of spectrum kh (from
-    _spectrum on the same grid): circular on the torus, linear on the line."""
+class _Scratch(NamedTuple):
+    """Buffers for marching n fibers on a grid of G cells, allocated once
+    per solve.  P is the FFT length: G on the torus, 2G on the line (zero
+    padding for the convolution, even extension for the diffusion); F is
+    the face count: G on the torus, G + 1 on the line."""
+
+    conv: np.ndarray       # (n, G) kernel convolution; wide itself on the torus
+    wide: np.ndarray       # (n, P) real FFT operand
+    spec: np.ndarray       # (n, P // 2 + 1) its spectrum
+    faces: np.ndarray      # (n, F) face velocities, then the upwind flux
+    lower: np.ndarray      # (n, F) the downwind part, then the divergence
+    neg: np.ndarray        # (n, G) bool, the cells to clamp
+
+
+def _scratch(n: int, g: Grid1D) -> _Scratch:
     G = g.n_cells
-    if g.topology == "torus":
-        fh = np.fft.rfft(vals, axis=1)
-        return np.fft.irfft(fh * kh[None, :], n=G, axis=1) * g.dx
-    n_pad = 2 * G
-    fh = np.fft.rfft(vals, n=n_pad, axis=1)
-    full = np.fft.irfft(fh * kh[None, :], n=n_pad, axis=1)
-    return full[:, G - 1 : 2 * G - 1] * g.dx
+    torus = g.topology == "torus"
+    wide = np.empty((n, G if torus else 2 * G))
+    n_faces = G if torus else G + 1
+    return _Scratch(conv=wide if torus else np.empty((n, G)), wide=wide,
+                    spec=np.empty((n, wide.shape[1] // 2 + 1), dtype=np.complex128),
+                    faces=np.empty((n, n_faces)), lower=np.empty((n, n_faces)),
+                    neg=np.empty((n, G), dtype=bool))
+
+
+def _convolve(vals: np.ndarray, g: Grid1D, kh: np.ndarray, buf: _Scratch | None = None):
+    """Each row of vals convolved with the kernel of spectrum kh (from
+    _spectrum on the same grid): circular on the torus, linear on the line.
+    Returns buf.conv, from fresh buffers when buf is None."""
+    G = g.n_cells
+    if buf is None:
+        buf = _scratch(vals.shape[0], g)
+    n_fft = buf.wide.shape[1]
+    np.fft.rfft(vals, n=n_fft, axis=1, out=buf.spec)
+    np.multiply(buf.spec, kh, out=buf.spec)
+    np.fft.irfft(buf.spec, n=n_fft, axis=1, out=buf.wide)
+    src = buf.wide if g.topology == "torus" else buf.wide[:, G - 1 : 2 * G - 1]
+    return np.multiply(src, g.dx, out=buf.conv)
 
 
 def fiber_convolution(f: FiberedDensity, k: Kernel) -> np.ndarray:
@@ -198,65 +226,97 @@ def cfl_limits(vmax: float, dx: float) -> float:
     return 0.4 * dx / vmax if vmax > 0 else math.inf
 
 
-def _face_velocities(v: np.ndarray, topology: str) -> np.ndarray:
+def _face_velocities(v: np.ndarray, topology: str, out: np.ndarray) -> np.ndarray:
+    """Velocities at the cell faces into out: the mean of the two cells
+    beside an inner face (face c sits between cells c and c + 1 on the
+    torus, between c - 1 and c on the line), the end cell's velocity at a
+    line end."""
     if topology == "torus":
-        return 0.5 * (v + np.roll(v, -1, axis=1))      # face c sits between cells c, c+1
-    faces = np.empty((v.shape[0], v.shape[1] + 1))
-    faces[:, 1:-1] = 0.5 * (v[:, :-1] + v[:, 1:])
-    faces[:, 0] = v[:, 0]
-    faces[:, -1] = v[:, -1]
-    return faces
+        np.add(v[:, :-1], v[:, 1:], out=out[:, :-1])
+        np.add(v[:, -1], v[:, 0], out=out[:, -1])
+        return np.multiply(out, 0.5, out=out)
+    inner = out[:, 1:-1]
+    np.add(v[:, :-1], v[:, 1:], out=inner)
+    np.multiply(inner, 0.5, out=inner)
+    out[:, 0] = v[:, 0]
+    out[:, -1] = v[:, -1]
+    return out
 
 
-def _diffuse(vals: np.ndarray, g: Grid1D, c: float) -> np.ndarray:
-    """Solve (I - c*dx^2*L) u = vals per fiber, L the 3-point Laplacian:
-    periodic on the torus, no-flux on the line (as the torus of its
-    half-sample even extension, i.e. DCT-II).  rfft diagonalizes it; mode 0
-    is divided by exactly 1, and the M-matrix inverse is entrywise >= 0."""
+def _diffuse(vals: np.ndarray, g: Grid1D, c: float, buf: _Scratch | None = None) -> np.ndarray:
+    """Solve (I - c*dx^2*L) u = vals per fiber in place, L the 3-point
+    Laplacian: periodic on the torus, no-flux on the line (as the torus of
+    its half-sample even extension, i.e. DCT-II).  rfft diagonalizes it;
+    mode 0 is divided by exactly 1, and the M-matrix inverse is entrywise
+    >= 0.  Returns vals; buf supplies the FFT buffers (fresh when None)."""
+    if buf is None:
+        buf = _scratch(vals.shape[0], g)
+    src = vals
     if g.topology == "line":
-        vals = np.concatenate((vals, vals[:, ::-1]), axis=1)
-    n = vals.shape[1]
+        G = g.n_cells
+        src = buf.wide
+        src[:, :G] = vals
+        src[:, G:] = vals[:, ::-1]
+    n = src.shape[1]
     damp = 1.0 + 4.0 * c * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
-    return np.fft.irfft(np.fft.rfft(vals, axis=1) / damp, n=n, axis=1)[:, :g.n_cells]
+    np.fft.rfft(src, axis=1, out=buf.spec)
+    np.divide(buf.spec, damp, out=buf.spec)
+    np.fft.irfft(buf.spec, n=n, axis=1, out=src)
+    if src is not vals:
+        vals[...] = src[:, :g.n_cells]
+    return vals
 
 
-def _step(vals: np.ndarray, faces: np.ndarray, g: Grid1D, dt: float, nu: float,
-          expand: np.ndarray | None = None):
-    """One step for all marched fibers: explicit upwind advection with the
-    given face velocities, then implicit diffusion.
+def _step(vals: np.ndarray, g: Grid1D, dt: float, nu: float, out: np.ndarray,
+          buf: _Scratch, expand: np.ndarray | None = None):
+    """One step for all marched fibers into out: explicit upwind advection
+    with the face velocities in buf.faces (which the step overwrites), then
+    implicit diffusion.
 
-    Returns the new values with roundoff negatives clamped to zero, the
-    advective outflow per fiber (line only), the clamped mass, and the
-    step's conservation defect, measured after diffusion and before clamping.
-    When vals holds one row per class, expand (the class of every fiber)
-    gives the clamped mass as the sum over the full system, in its order.
+    Returns the advective outflow per fiber (line only), the clamped mass
+    and the step's conservation defect, measured after diffusion and before
+    roundoff negatives are clamped to zero.  When vals holds one row per
+    class, expand (the class of every fiber) gives the clamped mass as the
+    sum over the full system, in its order.  Every operation is that of the
+    array expressions up * vals + dn * roll(vals, -1) and flux - roll(flux,
+    1) (torus), in the same order, so out is bitwise their result.
     """
     dx = g.dx
-    up = np.maximum(faces, 0.0)
-    dn = np.minimum(faces, 0.0)
+    dn = np.minimum(buf.faces, 0.0, out=buf.lower)
+    up = np.maximum(buf.faces, 0.0, out=buf.faces)
+    flux = up                  # the flux overwrites up, the divergence dn
     leak = np.zeros(vals.shape[0])
     if g.topology == "torus":
-        flux = up * vals + dn * np.roll(vals, -1, axis=1)
-        div = flux - np.roll(flux, 1, axis=1)
+        np.multiply(up, vals, out=flux)
+        np.multiply(dn[:, :-1], vals[:, 1:], out=dn[:, :-1])
+        np.multiply(dn[:, -1], vals[:, 0], out=dn[:, -1])
+        np.add(flux, dn, out=flux)
+        div = dn
+        np.subtract(flux[:, 1:], flux[:, :-1], out=div[:, 1:])
+        np.subtract(flux[:, 0], flux[:, -1], out=div[:, 0])
     else:
-        flux = np.zeros((vals.shape[0], g.n_cells + 1))
-        flux[:, 1:-1] = up[:, 1:-1] * vals[:, :-1] + dn[:, 1:-1] * vals[:, 1:]
+        inner = flux[:, 1:-1]
+        np.multiply(up[:, 1:-1], vals[:, :-1], out=inner)
+        np.multiply(dn[:, 1:-1], vals[:, 1:], out=dn[:, 1:-1])
+        np.add(inner, dn[:, 1:-1], out=inner)
         # zero inflow at both ends; outflow feeds the leakage ledger
-        flux[:, 0] = dn[:, 0] * vals[:, 0]
-        flux[:, -1] = up[:, -1] * vals[:, -1]
+        np.multiply(dn[:, 0], vals[:, 0], out=flux[:, 0])
+        np.multiply(up[:, -1], vals[:, -1], out=flux[:, -1])
         leak = (-flux[:, 0] + flux[:, -1]) * dt
-        div = flux[:, 1:] - flux[:, :-1]
-    new = vals - (dt / dx) * div
+        div = dn[:, :-1]
+        np.subtract(flux[:, 1:], flux[:, :-1], out=div)
+    np.multiply(div, dt / dx, out=div)
+    new = np.subtract(vals, div, out=out)
     if nu > 0:
-        new = _diffuse(new, g, nu * dt / (dx * dx))
+        _diffuse(new, g, nu * dt / (dx * dx), buf)
     defect = float(np.abs((new.sum(axis=1) - vals.sum(axis=1)) * dx + leak).max())
     clamp = 0.0
-    neg = new < 0.0
+    neg = np.less(new, 0.0, out=buf.neg)
     if neg.any():
-        full = new if expand is None else new[expand]
-        clamp = float(-full[full < 0.0].sum()) * dx
-        new = np.where(neg, 0.0, new)
-    return new, leak, clamp, defect
+        full = new[neg] if expand is None else new[expand][neg[expand]]
+        clamp = float(-full.sum()) * dx
+        np.copyto(new, 0.0, where=neg)
+    return leak, clamp, defect
 
 
 def _row_classes(a: np.ndarray) -> np.ndarray:
@@ -326,7 +386,10 @@ def solve(f0: FiberedDensity, w: SparseWeights, k: Kernel, nu: float,
     nu > 0 the bound is the cell diffusion time 0.25*dx^2/nu.  The march
     works on raw arrays; the kernel spectrum is computed once per call, the
     velocity once per step, and a FiberedDensity (validated) is built only
-    for the returned states.
+    for the returned states.  Each step writes into buffers allocated once
+    per call (ufunc and FFT out= arguments, two state arrays used in turn),
+    with the operations of the array expressions they stand for in the same
+    order, so no output bit depends on them.
 
     The march is lumped exactly.  Fibers with bitwise-equal values and
     leakage whose weight rows list the same (class of column, weight)
@@ -365,7 +428,9 @@ def solve(f0: FiberedDensity, w: SparseWeights, k: Kernel, nu: float,
         vals, leakage, expand = vals[reps], leakage[reps], color
 
     def density(vals, time, leakage, clamp_total):
-        if expand is not None:
+        if expand is None:
+            vals = vals.copy()          # the march reuses its state buffers
+        else:
             vals, leakage = vals[expand], leakage[expand]
         return FiberedDensity(grid=g, values=vals, time=time, initial_mass=f0.initial_mass,
                               leakage=leakage, clamp_total=clamp_total)
@@ -377,14 +442,17 @@ def solve(f0: FiberedDensity, w: SparseWeights, k: Kernel, nu: float,
             snaps[idx] = f0
             pending.remove(idx)
     kh = _spectrum(g, k)
+    buf = _scratch(vals.shape[0], g)
+    # step i writes spare[i % 2], so it never overwrites its input
+    spare = (np.empty_like(vals), np.empty_like(vals))
     state = (vals, f0.time, leakage, f0.clamp_total)
     max_drift = 0.0
     n_steps = 0
     while state[1] < t_end - 1e-12:
         prev = state
         vals, time, leakage, clamp_total = prev
-        faces = _face_velocities(a @ _convolve(vals, g, kh), g.topology)
-        vmax = float(np.abs(faces).max())
+        faces = _face_velocities(a @ _convolve(vals, g, kh, buf), g.topology, buf.faces)
+        vmax = float(np.abs(faces, out=buf.lower).max())
         dt_ok = cfl_limits(vmax, dx)
         limit = dt_ok if vmax != 0 or nu <= 0 else 0.25 * dx**2 / nu
         if limit == 0.0:
@@ -393,7 +461,8 @@ def solve(f0: FiberedDensity, w: SparseWeights, k: Kernel, nu: float,
         step_dt = min(step_dt, t_end - time)
         if step_dt > dt_ok * (1 + 1e-12):
             raise CFLError(f"dt={step_dt:g} violates CFL; admissible dt <= {dt_ok:g}")
-        new, leak, clamp, defect = _step(vals, faces, g, step_dt, nu, expand)
+        new = spare[n_steps % 2]
+        leak, clamp, defect = _step(vals, g, step_dt, nu, new, buf, expand)
         state = (new, time + step_dt, leakage + leak, clamp_total + clamp)
         max_drift = max(max_drift, defect)
         n_steps += 1

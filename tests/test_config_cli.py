@@ -2,6 +2,9 @@ import copy
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -459,6 +462,26 @@ class TestCli:
             outs.append(manifest_outputs(out))
         assert outs[0] == outs[1]
 
+    def test_outputs_independent_of_blas_threads(self, tmp_path):
+        # two child processes, one and two BLAS/OpenMP threads, on a noisy
+        # Kuramoto torus: the manifests list the same output digests
+        doc = mutate("kernel", {"preset": "kuramoto", "coupling": 1.0})
+        doc["init"] = {"kind": "spread", "mean_lo": 1.6, "mean_hi": 4.6, "std": 0.5}
+        doc["grid"] = {"x_min": 0.0, "x_max": 2 * math.pi, "cells": 64, "topology": "torus"}
+        doc.update(sigma=0.3, nu=0.045)
+        path = tmp_path / "torus.json"
+        path.write_text(json.dumps(doc))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+            out = tmp_path / f"threads{threads}"
+            subprocess.run([sys.executable, "-m", "nxmf.cli", "convergence", "--config", str(path),
+                            "--out", str(out)], env=env, check=True, timeout=120)
+            outs.append(manifest_outputs(out))
+        assert outs[0] == outs[1] and outs[0]
+
     def test_seed_changes_outputs(self, config_file, tmp_path):
         outs = []
         for seed in (1, 2):
@@ -728,6 +751,18 @@ class TestWriteCsv:
         as_array, _ = self.written(tmp_path / "array", [np.array(values, dtype=dtype)])
         as_list, _ = self.written(tmp_path / "list", [list(values)])
         assert as_array == as_list == reference_csv(["c0"], zip(values)).encode()
+
+    def test_float_format_matches_str_format(self):
+        # FLOAT_FMT with % writes what "{:.17g}".format writes, on the
+        # special values, the extremes and random bit patterns
+        info = np.finfo(np.float64)
+        special = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                   2.2250738585072009e-308, float(info.max), -float(info.max),
+                   float(info.tiny), float(info.eps), 0.1, 1.0 / 3.0]
+        bits = np.random.default_rng(5).integers(0, 2**64, 100_000, dtype=np.uint64)
+        values = special + bits.view(np.float64).tolist()
+        assert [cli.FLOAT_FMT % v for v in values] == ["{:.17g}".format(v) for v in values]
+        assert cli._column_text(np.array(values)) == ["{:.17g}".format(v) for v in values]
 
     def test_digest_read_in_blocks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "HASH_BLOCK", 7)

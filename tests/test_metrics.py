@@ -176,8 +176,9 @@ class TestBatchedW1:
         wv /= wv.sum(axis=1, keepdims=True)
 
         got = metrics._w1_atoms_vs_grid(x, g, v, wv)
-        ref = np.array([[w1(Law1D.from_atoms(x[r, wd > 0], wd[wd > 0]),
-                            Law1D.from_grid(g, v[r])) for r in range(rows)] for wd in wv])
+        # zero-weight atoms stay in the reference law, as knots of its CDF
+        ref = np.array([[w1(Law1D.from_atoms(x[r], wd), Law1D.from_grid(g, v[r]))
+                         for r in range(rows)] for wd in wv])
         assert np.array_equal(bits(got), bits(ref))
 
     def test_blocks_do_not_change_bits(self, rng, monkeypatch):
@@ -219,10 +220,9 @@ def reference_independence_gap(w, k, laws, grid, t_end, dt, master_seed, n_repli
     for b in range(n_bootstrap):
         counts = brng.multinomial(n_replicas, np.full(n_replicas, 1.0 / n_replicas))
         wts = counts / n_replicas
-        keep = counts > 0
         vals = np.empty(n)
         for i in range(n):
-            vals[i] = w1(Law1D.from_atoms(samples[keep, i], wts[keep]),
+            vals[i] = w1(Law1D.from_atoms(samples[:, i], wts),
                          Law1D.from_grid(grid, fibers.values[i]))
         boot[b] = vals.max()
     bound = c1(t_end, scaling.max_row_abs_sum, k.w1inf_norm) * math.sqrt(scaling.max_entry_abs)
@@ -412,6 +412,12 @@ class TestIndependenceGap:
 
 
 class TestMeanfieldGap:
+    @pytest.mark.parametrize("n_seeds", [0, -3])
+    def test_needs_a_seed(self, n_seeds):
+        w, k, laws, grid, sigma, dt = GAP_CASES["line"]()
+        with pytest.raises(ValueError, match="at least one seed"):
+            meanfield_gap(w, k, laws, grid, [0.0, 0.1], dt, 3, n_seeds, sigma)
+
     def test_stability_guard(self):
         w = gen_uniform(4, 1.0)
         laws = AgentLawSpec.spread(4, -1, 1, 0.5)
