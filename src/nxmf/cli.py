@@ -56,17 +56,16 @@ def _fmt(v) -> str:
 def _column_text(col) -> list[str]:
     """The CSV fields of one column, in order.
 
-    A float64 or integer array is formatted once per distinct value, with
-    `FLOAT_FMT` or `str` as `_fmt` would; a float64 one is keyed by its int64
-    view, which keeps -0.0 apart from 0.0 and each NaN payload apart.  Any
-    other column goes through `_fmt` one value at a time.
+    A float64 or integer array goes through `_fmt` once per distinct value;
+    a float64 one is keyed by its int64 view, which keeps -0.0 apart from 0.0
+    and each NaN payload apart.  Any other column goes through `_fmt` one
+    value at a time.
     """
     if isinstance(col, np.ndarray) and (col.dtype == np.float64 or col.dtype.kind in "iu"):
         is_float = col.dtype == np.float64
         keys, inverse = np.unique(col.view(np.int64) if is_float else col, return_inverse=True)
         values = keys.view(np.float64) if is_float else keys
-        text = map(FLOAT_FMT.__mod__ if is_float else str, values.tolist())
-        return np.array(list(text), dtype=object)[inverse].tolist()
+        return np.array([_fmt(v) for v in values.tolist()], dtype=object)[inverse].tolist()
     return [_fmt(v) for v in (col.tolist() if isinstance(col, np.ndarray) else col)]
 
 

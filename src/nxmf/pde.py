@@ -243,14 +243,12 @@ def _face_velocities(v: np.ndarray, topology: str, out: np.ndarray) -> np.ndarra
     return out
 
 
-def _diffuse(vals: np.ndarray, g: Grid1D, c: float, buf: _Scratch | None = None) -> np.ndarray:
+def _diffuse(vals: np.ndarray, g: Grid1D, c: float, buf: _Scratch) -> np.ndarray:
     """Solve (I - c*dx^2*L) u = vals per fiber in place, L the 3-point
     Laplacian: periodic on the torus, no-flux on the line (as the torus of
     its half-sample even extension, i.e. DCT-II).  rfft diagonalizes it;
     mode 0 is divided by exactly 1, and the M-matrix inverse is entrywise
-    >= 0.  Returns vals; buf supplies the FFT buffers (fresh when None)."""
-    if buf is None:
-        buf = _scratch(vals.shape[0], g)
+    >= 0.  Returns vals; buf supplies the FFT buffers."""
     src = vals
     if g.topology == "line":
         G = g.n_cells

@@ -99,7 +99,7 @@ def reference_step(f, w, k, dt, nu, v):
         div = flux[:, 1:] - flux[:, :-1]
     new = vals - (dt / dx) * div
     if nu > 0:
-        new = pde._diffuse(new, g, nu * dt / (dx * dx))
+        new = pde._diffuse(new, g, nu * dt / (dx * dx), pde._scratch(new.shape[0], g))
     drift = float(np.abs((new.sum(axis=1) - vals.sum(axis=1)) * dx + leak).max())
     clamp = 0.0
     neg = new < 0.0
