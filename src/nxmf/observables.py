@@ -12,6 +12,8 @@ the root, each child contributing a sparse matrix-vector product across
 the fiber index.  The cell measure 1/N of the fiber interval cancels the N
 in the piecewise-constant graphon normalization, so each message crosses
 an edge by the raw sparse weight action -- apply no additional scaling.
+The root sums its message over fibers a bounded block at a time, so an
+order-m lattice on G cells takes O(N G^(m-1) + G^m) memory, not O(N G^m).
 
 The reference for these values is the literal N^m index sum; that
 brute-force oracle lives in the tests.
@@ -31,7 +33,11 @@ from .weights import SparseWeights, check_scaling, kernel_apply
 
 TAU_ORDER_CAP = 4
 DENSITY_ORDER_CAP = 8
-DEFAULT_BUDGET = 1 << 26          # max entries of any fiber-by-lattice array
+# tau still counts n_fibers * G^order entries against the budget, the size
+# of the fiber-by-lattice array it no longer forms, so the same lattices
+# are rejected.
+DEFAULT_BUDGET = 1 << 26
+ROOT_BLOCK = 1 << 18              # entries of one block of tau's root message
 
 
 class LatticeBudgetError(MemoryError):
@@ -51,28 +57,36 @@ def _check_budget(n_fibers: int, g_cells: int, order: int, budget: int):
         )
 
 
+def _outer(msg: np.ndarray, child: np.ndarray) -> np.ndarray:
+    """Per-fiber outer product: child's variable axes follow msg's."""
+    a = msg.reshape(msg.shape[0], -1, 1)
+    b = child.reshape(child.shape[0], 1, -1)
+    return (a * b).reshape(msg.shape + child.shape[1:])
+
+
 def _messages_root(t: LabeledTree, w: SparseWeights, leaf_of):
-    """Leaves-to-root message passing.
+    """Leaves-to-root message passing, stopping short of the root product.
 
     leaf_of(v) supplies vertex v's per-fiber factor: an array whose first
     axis is the fiber index and whose remaining axes are that vertex's own
-    variables.  Returns the root message and the variable order of its
-    trailing axes.
+    variables.  Returns the root's factor, the messages its children send
+    across their edges, and the variable order of the trailing axes of the
+    root message: the root's factor outer each sent message in turn.
     """
     messages: dict[int, tuple[np.ndarray, list[int]]] = {}
     for v in range(t.order, 0, -1):
-        msg = leaf_of(v)
+        sent = []
         var_order = [v]
         for c in t.children(v):
             mc, vars_c = messages.pop(c)
-            shape_c = mc.shape
-            smc = kernel_apply(w, mc.reshape(shape_c[0], -1)).reshape(shape_c)
-            a = msg.reshape(msg.shape[0], -1, 1)
-            b = smc.reshape(shape_c[0], 1, -1)
-            msg = (a * b).reshape(msg.shape[:1] + msg.shape[1:] + shape_c[1:])
+            sent.append(kernel_apply(w, mc.reshape(mc.shape[0], -1)).reshape(mc.shape))
             var_order.extend(vars_c)
+        if v == 1:
+            return leaf_of(1), sent, var_order
+        msg = leaf_of(v)
+        for s in sent:
+            msg = _outer(msg, s)
         messages[v] = (msg, var_order)
-    return messages[1]
 
 
 @dataclass(frozen=True)
@@ -121,8 +135,26 @@ def tau(t: LabeledTree, w: SparseWeights, f: FiberedDensity,
             base = base * factors[v]
         return base
 
-    root, var_order = _messages_root(t, w, leaf_of)
-    lattice = root.mean(axis=0)
+    leaf, sent, var_order = _messages_root(t, w, leaf_of)
+    # The fiber mean of the root message, formed ROOT_BLOCK entries at a
+    # time.  Its rows have G >= 8 entries (Grid1D), so add.reduce along
+    # axis 0 adds them in order (rows of one entry would be summed
+    # pairwise); putting the running sum into each block's first row
+    # (a + b == b + a) then gives the bits of the whole message's
+    # mean(axis=0).
+    step = max(1, ROOT_BLOCK // f.grid.n_cells ** t.order)
+    total = None
+    for lo in range(0, f.n_fibers, step):
+        blk = leaf[lo:lo + step]
+        for s in sent:
+            blk = _outer(blk, s[lo:lo + step])
+        if not sent:
+            blk = blk.copy()        # a view of the caller's fibers
+        if total is not None:
+            blk[0] += total
+        total = np.add.reduce(blk, axis=0)
+        del blk                     # one block alive at a time
+    lattice = total / f.n_fibers
     # transpose trailing axes from message order to vertex-label order
     perm = np.argsort(np.asarray(var_order))
     lattice = np.transpose(lattice, axes=tuple(perm))
@@ -212,10 +244,10 @@ def lambda_admissible(lam: float, w: SparseWeights, f: FiberedDensity, k: Kernel
     threshold used by the hierarchy stability estimate (informational; the
     norm itself is computed for any lam > 0)."""
     wnorm = check_scaling(w).max_row_abs_sum
-    if wnorm == 0:
+    l2 = float(np.sqrt((f.values ** 2).sum(axis=1).max() * f.grid.dx))
+    if wnorm == 0 or l2 == 0:       # no coupling, or no density: no threshold
         return True, math.inf
     mass = float(f.masses().max())
-    l2 = float(np.sqrt((f.values ** 2).sum(axis=1).max() * f.grid.dx))
     threshold = (
         min(2.0 / wnorm, 1.0)
         * math.exp(-t_star / 4.0 * wnorm * k.div_sup * mass)

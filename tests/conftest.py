@@ -6,6 +6,7 @@ import pytest
 from nxmf import Grid1D, SparseWeights, gaussian_fibers
 from nxmf.kernels import Kernel, LINE
 from nxmf.observables import Observable
+from nxmf.weights import kernel_apply
 
 
 def random_sparse_weights(rng, n, density=0.3, scale=None):
@@ -59,6 +60,26 @@ def tau_dense_reference(t, w, f) -> Observable:
             prof = np.multiply.outer(prof, f.values[combo[v]])
         out += coeff * prof
     return Observable(tree=t, grid=f.grid, values=out / n)
+
+
+def tau_full_message_reference(t, w, f, vertex_factors=None) -> np.ndarray:
+    """tau(T, w, f)'s lattice as the fiber mean of the whole
+    (n_fibers, G^order) root message (oracle for the blocked root sum)."""
+    factors = vertex_factors or {}
+    messages = {}
+    for v in range(t.order, 0, -1):
+        msg = f.values * factors[v] if v in factors else f.values
+        var_order = [v]
+        for c in t.children(v):
+            mc, vars_c = messages.pop(c)
+            smc = kernel_apply(w, mc.reshape(mc.shape[0], -1)).reshape(mc.shape)
+            a = msg.reshape(msg.shape[0], -1, 1)
+            b = smc.reshape(smc.shape[0], 1, -1)
+            msg = (a * b).reshape(msg.shape + smc.shape[1:])
+            var_order.extend(vars_c)
+        messages[v] = (msg, var_order)
+    root, var_order = messages[1]
+    return np.transpose(root.mean(axis=0), np.argsort(var_order))
 
 
 def pure_linear_kernel():

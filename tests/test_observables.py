@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,8 +33,13 @@ from nxmf.observables import (
     _central_lap,
     lambda_admissible,
 )
-from nxmf import check_scaling
-from conftest import random_fibers, random_sparse_weights, tau_dense_reference
+from nxmf import check_scaling, observables
+from conftest import (
+    random_fibers,
+    random_sparse_weights,
+    tau_dense_reference,
+    tau_full_message_reference,
+)
 
 T2 = LabeledTree((0, 1))
 T31 = LabeledTree((0, 1, 1))
@@ -84,6 +90,42 @@ class TestTau:
                     a = tau(t, w, f).values
                     b = tau_dense_reference(t, w, f).values
                     assert np.abs(a - b).max() <= 1e-12
+
+    @pytest.mark.parametrize("block", [1, 8, observables.ROOT_BLOCK])
+    @pytest.mark.parametrize("n", [1, 3, 40, 300])
+    @pytest.mark.parametrize("cells", [8, 9, 33])
+    def test_blocked_root_sum_is_full_message_mean(self, rng, monkeypatch, block, n, cells):
+        # one fiber per block, a few fibers per block, and the default;
+        # lattices whose full root message the oracle cannot hold are left out
+        monkeypatch.setattr(observables, "ROOT_BLOCK", block)
+        g = Grid1D(-3, 3, cells)
+        w = random_sparse_weights(rng, n, density=min(1.0, 5 / n))
+        f = random_fibers(rng, g, n)
+        fibers = f.values.copy()
+        for order in (1, 2, 3, 4):
+            if n * cells**order > 1 << 21:
+                continue
+            factors = {v: rng.uniform(-2.0, 2.0, (n, cells)) for v in range(1, order + 1)}
+            kept = {v: a.copy() for v, a in factors.items()}
+            for t in enumerate_trees(order):
+                for vf in (None, factors):
+                    got = tau(t, w, f, vertex_factors=vf).values
+                    assert np.array_equal(got, tau_full_message_reference(t, w, f, vf))
+            assert all(np.array_equal(factors[v], kept[v]) for v in factors)
+            assert np.array_equal(f.values, fibers)
+
+    def test_order_two_peak_memory(self, rng):
+        # the README shape: the full root message alone would be 32 MiB
+        g = Grid1D(-6, 6, 256)
+        f = random_fibers(rng, g, 64)
+        w = gen_class_permutation(64, 8, [*range(2, 9), 1])     # the README cycle
+        tracemalloc.start()
+        try:
+            tau(T2, w, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_unreferenced_fiber_zero(self):
         g = Grid1D(-2, 2, 16)
@@ -266,6 +308,12 @@ class TestHierarchy:
         ok_small, thr = lambda_admissible(1e-8, w, f, linear_attraction(), t_star=1.0)
         ok_big, _ = lambda_admissible(1e8, w, f, linear_attraction(), t_star=1.0)
         assert ok_small and not ok_big and thr > 0
+
+    def test_lambda_admissible_zero_density(self):
+        g = Grid1D(-1, 1, 8)
+        f = FiberedDensity(grid=g, values=np.zeros((4, 8)))
+        w = gen_class_permutation(4, 2, [1, 2])
+        assert lambda_admissible(1.0, w, f, linear_attraction(), t_star=1.0) == (True, math.inf)
 
 
 def _stencil_diff(arr, axis, dx, periodic):
