@@ -26,14 +26,14 @@ from .config import SEED_MAX, ExperimentConfig, canonical_json, check_number
 from .metrics import GapReport, convergence_gaps
 from .observables import (
     LatticeBudgetError,
+    _residual,
     hierarchy,
     hierarchy_norm,
-    hierarchy_residual,
     lambda_admissible,
     tau,
 )
 from .particles import StabilityError, integrate
-from .pde import CFLError, solve
+from .pde import CFLError, solve, velocity
 from .rearrange import CellFunctions, build_phi, fit_modulus_constant, modulus, save_permutation
 from .trees import enumerate_trees
 from .weights import check_scaling
@@ -237,12 +237,16 @@ def cmd_observe(cfg: ExperimentConfig, em: Emitter, seed: int):
     })
 
     if len(res.snapshots) >= 3:
+        # mid is the residual's middle snapshot: its tau values and velocity
+        # are reused, not recomputed per tree
+        vel = velocity(mid, w, cfg.kernel)
         rows = []
         for order in (1, 2):
             if order > n_max:
                 continue
             for t in enumerate_trees(order):
-                rep = hierarchy_residual(t, w, res.snapshots, cfg.kernel, nu=cfg.nu)
+                rep = _residual(t, w, res.snapshots, cfg.kernel, nu=cfg.nu,
+                                tau1=h.observables[t].values, vel=vel)
                 rows.append((t.to_text(), order, rep.value, rep.dt, rep.dx))
         em.write_csv("hierarchy_residuals.csv", ["tree", "order", "l1_residual", "dt", "dx"],
                      list(zip(*rows)))

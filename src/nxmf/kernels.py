@@ -17,7 +17,10 @@ matvec per mode, with no per-entry evaluation of K (Kuramoto, through its
 order parameters).  Every other kernel takes the entry path, which
 evaluates K once per stored weight; there, a kernel declared odd
 (K(-x) = -K(x) bitwise) lets the drift evaluate each unordered pair of a
-symmetric weight matrix once.
+symmetric weight matrix once.  On the entry path a kernel may also carry
+eval_into(x, out, tmp), which writes eval(x) into out bit for bit, with
+tmp (x's shape) as scratch, so the drift evaluates K in its own block
+buffers without temporaries (linear_attraction).
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ _ODD_PROBE = np.array([1e-3, 0.25, 0.7, 1.3, 2.9, 5.5, 40.0])
 # to _MODES_RTOL relative to the largest |K| on them
 _MODE_PROBE = np.array([0.0, 0.3, 1.1, 2.9, 3.3, 4.4, 6.2, -0.7, 9.0])
 _MODES_RTOL = 1e-12
+# points on which eval_into must reproduce eval bitwise: signed zeros, exp
+# underflow and overflow, x * x overflow, infinities and NaN
+_INTO_PROBE = np.array([0.0, -0.0, 1e-3, -0.7, 1.3, 27.0, -40.0, 710.0, -746.0, 1e200,
+                        -1e200, np.inf, -np.inf, np.nan])
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,8 @@ class Kernel:
     odd: bool = False
     # pairs (a_r, b_r) of elementwise functions, K(x - y) = sum_r a_r(x) * b_r(y)
     modes: tuple | None = None
+    # eval_into(x, out, tmp): out[...] = eval(x) bitwise, tmp as scratch, x unchanged
+    eval_into: Callable[[np.ndarray, np.ndarray, np.ndarray], None] | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -92,6 +101,15 @@ class Kernel:
             lowrank = sum(a(x) * b(y) for a, b in self.modes)
             if not np.abs(lowrank - k).max() <= _MODES_RTOL * np.abs(k).max():
                 raise ValueError("kernel modes do not reproduce K(x - y)")
+        if self.eval_into is not None:
+            p = _INTO_PROBE[:, None] * (-1.5) ** np.arange(self.dim)
+            out, tmp = np.empty_like(p), np.empty_like(p)
+            with np.errstate(all="ignore"):
+                want = np.asarray(self.eval(p), dtype=np.float64)
+                self.eval_into(p, out, tmp)
+            if not np.array_equal(want.view(np.uint64), out.view(np.uint64)):
+                raise ValueError("kernel eval_into does not reproduce eval bitwise "
+                                 "(a new eval needs its own eval_into, or None)")
 
     @property
     def w1inf_norm(self) -> float:
@@ -133,26 +151,36 @@ def kuramoto(coupling: float = 1.0) -> Kernel:
 def linear_attraction(amplitude: float = 1.0) -> Kernel:
     """K(x) = -amplitude * x * exp(-x^2) on the line.
 
-    Attractive near the origin, exponentially screened at distance; smooth,
-    globally Lipschitz with constant = amplitude and sup norm
-    amplitude / sqrt(2 e).
+    Attractive near the origin (repulsive for a negative amplitude),
+    exponentially screened at distance; smooth, globally Lipschitz with
+    constant |amplitude| and sup norm |amplitude| / sqrt(2 e).
     """
     a = float(amplitude)
+    size = abs(a)
 
     def k_eval(x):
         return -a * x * np.exp(-(x * x))
 
+    def k_eval_into(x, out, tmp):
+        # k_eval's operations in its order, in the given buffers
+        np.multiply(x, x, out=tmp)
+        np.negative(tmp, out=tmp)
+        np.exp(tmp, out=tmp)
+        np.multiply(-a, x, out=out)
+        np.multiply(out, tmp, out=out)
+
     return Kernel(
         dim=1,
         eval=k_eval,
-        lipschitz=a,
-        sup_norm=a / math.sqrt(2.0 * math.e),
-        l1_norm=a,
-        div_sup=a,
+        lipschitz=size,
+        sup_norm=size / math.sqrt(2.0 * math.e),
+        l1_norm=size,
+        div_sup=size,
         zero_at_origin=True,
         domain=LINE,
         name="linear_attraction",
         odd=True,
+        eval_into=k_eval_into,
     )
 
 

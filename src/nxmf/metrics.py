@@ -115,11 +115,16 @@ def w1(a: Law1D, b: Law1D) -> float:
 
 
 def _segment_integrals(d0, d1, lengths):
-    """Integral of |d| over segments where d is affine from d0 to d1."""
+    """Integral of |d| over segments where d is affine from d0 to d1 (arrays
+    of one shape, lengths broadcast against them)."""
     same = d0 * d1 >= 0
     denom = np.abs(d0) + np.abs(d1)
-    cross = 0.5 * (d0 * d0 + d1 * d1) / np.maximum(denom, 1e-300)
-    return np.where(same, 0.5 * denom, cross) * lengths
+    out = 0.5 * denom
+    # the crossing branch, only where d changes sign (or is NaN)
+    cross = np.flatnonzero(~same)
+    a, b = d0.ravel()[cross], d1.ravel()[cross]
+    out.ravel()[cross] = 0.5 * (a * a + b * b) / np.maximum(denom.ravel()[cross], 1e-300)
+    return np.multiply(out, lengths, out=out)
 
 
 def _w1_atoms_vs_grid(atoms, grid: Grid1D, densities, weights) -> np.ndarray:
@@ -130,10 +135,13 @@ def _w1_atoms_vs_grid(atoms, grid: Grid1D, densities, weights) -> np.ndarray:
     weights[d]), Law1D.from_grid(grid, densities[r])): the same knots, CDF
     values and segment arithmetic, and one sum over the row's segments.
     Atoms of zero weight stay knots, so the knots (sorted atoms and grid
-    edges, repeats dropped), the atoms below each knot and the grid CDF are
-    computed once per row, and a draw adds only its cumulative weights.
-    Rows go in blocks of W1_CHUNK (draw, row, knot) elements, and the rows
-    of a block with equal knot counts in one dense (draw, row, knot) array.
+    edges, repeats dropped), the atoms below each knot, the grid CDF at the
+    knots and the segment lengths depend on the row alone.  They are set up
+    once for a block of about W1_CHUNK // (m + G + 1) rows, the rows of a
+    block with equal knot counts in one dense (row, knot) array.  The
+    segment pass then reads each draw's cumulative weights at the knots
+    with one flat take, a few draws at a time, so that each pass holds
+    about W1_CHUNK (draw, row, knot) elements.
     """
     x = np.asarray(atoms, dtype=np.float64)
     v = np.asarray(densities, dtype=np.float64)
@@ -152,47 +160,49 @@ def _w1_atoms_vs_grid(atoms, grid: Grid1D, densities, weights) -> np.ndarray:
     if not (np.all(wv >= 0) and np.all(np.abs(wv.sum(axis=1) - 1.0) <= MASS_TOL)):
         raise ValueError("atom weights must be finite, >= 0 and of total mass 1")
     edges = grid.x_min + np.arange(grid.n_cells + 1) * grid.dx
-    cdf = np.zeros((rows, edges.size))
-    cdf[:, 1:] = np.cumsum(v, axis=1) * grid.dx
-
-    out = np.empty((wv.shape[0], rows))
-    block = max(1, W1_CHUNK // (wv.shape[0] * (m + edges.size)))
-    for lo in range(0, rows, block):
-        out[:, lo:lo + block] = _w1_block(x[lo:lo + block], edges, cdf[lo:lo + block], wv)
-    return out
-
-
-def _w1_block(x, edges, cdf, wv) -> np.ndarray:
-    b, m = x.shape
     n_draws = wv.shape[0]
-    # per row: the sorted atoms merged with the edges; a knot is the first of
-    # each run of equal values, and the atoms <= it are counted at the run's end
-    order = np.argsort(x, axis=1, kind="stable")
-    merged = np.concatenate((np.take_along_axis(x, order, axis=1),
-                             np.broadcast_to(edges, (b, edges.size))), axis=1)
-    morder = np.argsort(merged, axis=1, kind="stable")
-    merged = np.take_along_axis(merged, morder, axis=1)
-    first = np.ones(merged.shape, bool)
-    first[:, 1:] = merged[:, 1:] != merged[:, :-1]
-    last = np.ones(merged.shape, bool)
-    last[:, :-1] = first[:, 1:]
-    below = np.cumsum(morder < m, axis=1)
-    counts = first.sum(axis=1)
-    # per draw: the cumulative weights, in each row's atom order
-    cum = np.zeros((n_draws, b, m + 1))
-    np.cumsum(wv[:, order], axis=2, out=cum[..., 1:])
-
-    out = np.empty((n_draws, b))
-    for n_knots in np.unique(counts):          # rows with equal knot counts, dense
-        rs = np.flatnonzero(counts == n_knots)
-        knots = merged[rs][first[rs]].reshape(rs.size, n_knots)
-        at = below[rs][last[rs]].reshape(rs.size, n_knots)[:, :-1] + (m + 1) * rs[:, None]
-        fa = np.take(cum.reshape(n_draws, -1), at, axis=1)
-        fb = np.array([np.interp(kn, edges, cdf[r], left=0.0, right=1.0)
-                       for kn, r in zip(knots, rs)])
-        seg = _segment_integrals(fa - fb[:, :-1], fa - fb[:, 1:], np.diff(knots, axis=1))
-        # over a contiguous last axis the sum is the 1-D sum w1 takes
-        out[:, rs] = np.ascontiguousarray(seg).sum(axis=-1)
+    out = np.empty((n_draws, rows))
+    block = max(1, W1_CHUNK // (m + edges.size))
+    for lo in range(0, rows, block):
+        xb = x[lo:lo + block]
+        b = xb.shape[0]
+        cdf = np.zeros((b, edges.size))
+        cdf[:, 1:] = np.cumsum(v[lo:lo + b], axis=1) * grid.dx
+        # per row: the sorted atoms merged with the edges; a knot is the first
+        # of each run of equal values, and the atoms <= it are counted at the
+        # run's end
+        order = np.argsort(xb, axis=1, kind="stable")
+        merged = np.concatenate((np.take_along_axis(xb, order, axis=1),
+                                 np.broadcast_to(edges, (b, edges.size))), axis=1)
+        morder = np.argsort(merged, axis=1, kind="stable")
+        merged = np.take_along_axis(merged, morder, axis=1)
+        first = np.ones(merged.shape, bool)
+        first[:, 1:] = merged[:, 1:] != merged[:, :-1]
+        last = np.ones(merged.shape, bool)
+        last[:, :-1] = first[:, 1:]
+        below = np.cumsum(morder < m, axis=1)
+        counts = first.sum(axis=1)
+        groups = []
+        for n_knots in np.unique(counts):          # rows with equal knot counts, dense
+            rs = np.flatnonzero(counts == n_knots)
+            knots = merged[rs][first[rs]].reshape(rs.size, n_knots)
+            # flat index of each segment's cumulative weight in a draw's (b, m + 1) block
+            at = below[rs][last[rs]].reshape(rs.size, n_knots)[:, :-1] + (m + 1) * rs[:, None]
+            fb = np.array([np.interp(kn, edges, cdf[r], left=0.0, right=1.0)
+                           for kn, r in zip(knots, rs)])
+            groups.append((lo + rs, at, fb[:, :-1], fb[:, 1:], np.diff(knots, axis=1)))
+        # per draw: the cumulative weights, in each row's atom order
+        step = max(1, W1_CHUNK // (b * (m + edges.size)))
+        for dlo in range(0, n_draws, step):
+            wd = wv[dlo:dlo + step]
+            cum = np.zeros((wd.shape[0], b, m + 1))
+            np.cumsum(wd[:, order], axis=2, out=cum[..., 1:])
+            cum = cum.reshape(wd.shape[0], -1)
+            for rs, at, fb0, fb1, lengths in groups:
+                fa = np.take(cum, at, axis=1)
+                seg = _segment_integrals(fa - fb0, fa - fb1, lengths)
+                # over a contiguous last axis the sum is the 1-D sum w1 takes
+                out[dlo:dlo + step, rs] = seg.sum(axis=-1)
     return out
 
 

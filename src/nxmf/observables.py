@@ -298,6 +298,13 @@ def hierarchy_residual(t: LabeledTree, w: SparseWeights, f_series, k: Kernel,
     order+1 lattice is ever materialized.  Returns the L1 norm of r at the
     middle snapshot.
     """
+    return _residual(t, w, f_series, k, nu, budget)
+
+
+def _residual(t: LabeledTree, w: SparseWeights, f_series, k: Kernel, nu: float = 0.0,
+              budget: int = DEFAULT_BUDGET, tau1=None, vel=None) -> ResidualReport:
+    """hierarchy_residual, taking tau(t, w, f1).values and velocity(f1, w, k)
+    of the middle snapshot f1 as tau1 and vel when the caller has them."""
     if t.order + 1 > TAU_ORDER_CAP:
         raise ValueError(f"residual needs order + 1 <= {TAU_ORDER_CAP}")
     snaps = list(f_series)
@@ -313,7 +320,8 @@ def hierarchy_residual(t: LabeledTree, w: SparseWeights, f_series, k: Kernel,
     periodic = grid.topology == "torus"
 
     tau0 = tau(t, w, f0, budget=budget).values
-    tau1 = tau(t, w, f1, budget=budget).values
+    if tau1 is None:
+        tau1 = tau(t, w, f1, budget=budget).values
     tau2 = tau(t, w, f2, budget=budget).values
     # non-uniform three-point first derivative at t1
     c0 = -h2 / (h1 * (h1 + h2))
@@ -321,7 +329,8 @@ def hierarchy_residual(t: LabeledTree, w: SparseWeights, f_series, k: Kernel,
     c2 = h1 / (h2 * (h1 + h2))
     r = c0 * tau0 + c1 * tau1 + c2 * tau2
 
-    vel = velocity(f1, w, k)
+    if vel is None:
+        vel = velocity(f1, w, k)
     for i in range(1, t.order + 1):
         grown = tau(t, w, f1, vertex_factors={i: vel}, budget=budget).values
         r = r + _central_diff(grown, axis=i - 1, dx=grid.dx, periodic=periodic)

@@ -47,22 +47,22 @@ def _wrap(positions: np.ndarray, k: Kernel) -> np.ndarray:
 class _DriftPlan(NamedTuple):
     rows: np.ndarray           # (n_eval,) row of each entry K is evaluated on
     cols: np.ndarray
-    vals: np.ndarray
-    rowsum: sp.csr_matrix      # (N, n_eval) signed indicator
+    rowsum: sp.csr_matrix      # (N, n_eval) sign * w_ij of each stored entry
 
 
 def _drift_plan(w: SparseWeights, k: Kernel) -> _DriftPlan:
-    """The entries drift_batch evaluates K on, and the indicator that sums
-    their values into rows.
+    """The entries drift_batch evaluates K on, and the matrix that weights
+    their values and sums them into rows.
 
     For a symmetric w and an odd K only the entries with row <= col are
     evaluated, and entry (i, j) below the diagonal takes minus the value of
     (j, i): w_ij K(x_i - x_j) == -(w_ji K(x_j - x_i)) bitwise.  Row i of the
-    indicator lists its entries in the stored (row, col) order, with sign
-    -1 for the folded ones, so every row adds the same numbers in the same
-    order whether or not pairs are folded and however the right-hand side
-    is batched.  That keeps results bitwise stable across both.  Cached on
-    w, one plan per case.
+    row-sum matrix lists its entries in the stored (row, col) order, each
+    with data sign * w of the evaluated entry (sign -1 for the folded
+    ones), so every row adds (sign * w) * K, bitwise sign * (w * K), in the
+    same order whether or not pairs are folded and however the right-hand
+    side is batched.  That keeps results bitwise stable across both.
+    Cached on w, one plan per case.
     """
     t = w.transpose_index() if k.odd else None
     key = "_entry_plan" if t is None else "_pair_plan"
@@ -77,29 +77,33 @@ def _drift_plan(w: SparseWeights, k: Kernel) -> _DriftPlan:
             src = slot[np.where(keep, np.arange(w.nnz), t)]
             sign = np.where(keep, 1.0, -1.0)
         rows = w.rows0[keep]
-        rowsum = sp.csr_matrix((sign, src, w._indptr), shape=(w.n_agents, rows.size))
-        plan = _DriftPlan(rows, w.cols0[keep], w.values[keep], rowsum)
+        rowsum = sp.csr_matrix((sign * w.values[keep][src], src, w._indptr),
+                               shape=(w.n_agents, rows.size))
+        plan = _DriftPlan(rows, w.cols0[keep], rowsum)
         setattr(w, key, plan)
     return plan
 
 
 def _drift_scratch(w, k, n_rep, d):
-    """Buffers for drift_batch on n_rep replicas of dimension d: w_ij K of
-    every plan entry, (n_eval, n_rep, d), and two (block, n_rep, d) buffers
-    for one block of gathered positions."""
+    """Buffers for drift_batch on n_rep replicas of dimension d: K of every
+    plan entry, (n_eval, n_rep, d), and two (block, n_rep, d) buffers for
+    one block of gathered positions."""
     n_eval = _drift_plan(w, k).rows.size
     block = min(n_eval, max(1, DRIFT_BLOCK // (n_rep * d)))
     return np.empty((n_eval, n_rep, d)), np.empty((block, n_rep, d)), np.empty((block, n_rep, d))
 
 
-def _eval_block(k, by_agent, rows, cols, vals, out, xi, xj):
-    """out = vals * K(x_rows - x_cols) for one block of plan entries, with xi
-    and xj (the block's length) as scratch."""
+def _eval_block(k, by_agent, rows, cols, out, xi, xj):
+    """out = K(x_rows - x_cols) for one block of plan entries, with xi and
+    xj (the block's length) as scratch."""
     # mode="clip" lets take write straight into out; "raise" buffers it
     np.take(by_agent, rows, axis=0, out=xi, mode="clip")
     np.take(by_agent, cols, axis=0, out=xj, mode="clip")
     np.subtract(xi, xj, out=xi)
-    np.multiply(k.eval(xi), vals[:, None, None], out=out)
+    if k.eval_into is not None:
+        k.eval_into(xi, out, xj)
+    else:
+        out[...] = k.eval(xi)
 
 
 def drift_batch(w, k, positions, scratch=None):
@@ -112,10 +116,11 @@ def drift_batch(w, k, positions, scratch=None):
 
     On the entry path work is entry-major and blocked: DRIFT_BLOCK // (R d)
     plan entries at a time are gathered, subtracted and passed through
-    k.eval in two small buffers that stay in cache, and w_ij K lands in one
-    (n_eval, R, d) buffer that the row sum reads with no transpose.  Each
-    step is elementwise per entry, so the blocking does not change the
-    result.
+    K (k.eval_into when the kernel has it, else k.eval) in two small
+    buffers that stay in cache, and K lands in one (n_eval, R, d) buffer
+    that the row-sum matrix, which carries the weights, reads with no
+    transpose.  Each step is elementwise per entry, so the blocking does
+    not change the result.
     For a symmetric w and an odd K each unordered pair is evaluated once,
     with results bitwise equal to evaluating every entry (see _drift_plan).
     scratch, from _drift_scratch for the same R, supplies the buffers;
@@ -134,12 +139,12 @@ def drift_batch(w, k, positions, scratch=None):
     kv, a, b = _drift_scratch(w, k, r, d) if scratch is None else scratch
     n_eval, step = plan.rows.size, a.shape[0]
     if step >= n_eval:      # one block: no views to cut
-        _eval_block(k, by_agent, plan.rows, plan.cols, plan.vals, kv, a, b)
+        _eval_block(k, by_agent, plan.rows, plan.cols, kv, a, b)
     else:
         for lo in range(0, n_eval, step):
             hi = lo + step
-            _eval_block(k, by_agent, plan.rows[lo:hi], plan.cols[lo:hi], plan.vals[lo:hi],
-                        kv[lo:hi], a[:n_eval - lo], b[:n_eval - lo])
+            _eval_block(k, by_agent, plan.rows[lo:hi], plan.cols[lo:hi], kv[lo:hi],
+                        a[:n_eval - lo], b[:n_eval - lo])
     return (plan.rowsum @ kv.reshape(-1, r * d)).reshape(n, r, d).transpose(1, 0, 2)
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nxmf import Grid1D, SparseWeights, gaussian_fibers
 from nxmf.kernels import Kernel, LINE
@@ -80,6 +81,38 @@ def tau_full_message_reference(t, w, f, vertex_factors=None) -> np.ndarray:
         messages[v] = (msg, var_order)
     root, var_order = messages[1]
     return np.transpose(root.mean(axis=0), np.argsort(var_order))
+
+
+def indicator_drift_reference(w, k, positions):
+    """The entry-path drift with w applied to K's values and a signed
+    (+1/-1) indicator summing them into rows (oracle for the row-sum matrix
+    that carries sign * w): for a symmetric w and an odd K only the entries
+    with row <= col are evaluated, and the mirrored entry takes minus that
+    value."""
+    r, n, d = positions.shape
+    by_agent = np.ascontiguousarray(positions.transpose(1, 0, 2))
+    t = w.transpose_index() if k.odd else None
+    if t is None:
+        keep = slice(None)
+        src, sign = np.arange(w.nnz), np.ones(w.nnz)
+    else:
+        keep = w.rows0 <= w.cols0
+        slot = np.cumsum(keep) - 1
+        src = slot[np.where(keep, np.arange(w.nnz), t)]
+        sign = np.where(keep, 1.0, -1.0)
+    rows, cols, vals = w.rows0[keep], w.cols0[keep], w.values[keep]
+    indicator = sp.csr_matrix((sign, src, w._indptr), shape=(n, rows.size))
+    kv = k.eval(by_agent[rows] - by_agent[cols]) * vals[:, None, None]
+    return (indicator @ kv.reshape(-1, r * d)).reshape(n, r, d).transpose(1, 0, 2)
+
+
+def segment_integrals_reference(d0, d1, lengths):
+    """Integral of |d| over segments where d is affine from d0 to d1, with
+    both branches evaluated everywhere (oracle for the crossing-only one)."""
+    same = d0 * d1 >= 0
+    denom = np.abs(d0) + np.abs(d1)
+    cross = 0.5 * (d0 * d0 + d1 * d1) / np.maximum(denom, 1e-300)
+    return np.where(same, 0.5 * denom, cross) * lengths
 
 
 def pure_linear_kernel():

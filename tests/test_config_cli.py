@@ -566,6 +566,38 @@ class TestCli:
             float(r["l1_residual"])
             assert int(r["order"]) == len(r["tree"].split(","))
 
+    def test_observe_evaluates_each_tau_once(self, tmp_path, monkeypatch):
+        # the hierarchy's tau values of the middle snapshot, and one velocity
+        # of it, serve every residual: 9 tau calls on the README config (2 for
+        # the hierarchy, 3 + 4 for the residuals), where recomputing them made 11
+        from nxmf import observables
+        from nxmf.trees import enumerate_trees
+
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps(README_CONFIG))
+        calls = []
+        real_tau = observables.tau
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].to_text())
+            return real_tau(*args, **kwargs)
+
+        monkeypatch.setattr(observables, "tau", counted)
+        out = tmp_path / "obs"
+        assert main(["observe", "--config", str(path), "--out", str(out)]) == 0
+        assert len(calls) == 9
+        monkeypatch.setattr(observables, "tau", real_tau)
+        # the bytes of one public hierarchy_residual call per tree
+        cfg = ExperimentConfig.from_dict(copy.deepcopy(README_CONFIG))
+        w, res = cli._solve_from_config(cfg, cfg.seed)
+        rows = []
+        for order in (1, 2):
+            for t in enumerate_trees(order):
+                rep = observables.hierarchy_residual(t, w, res.snapshots, cfg.kernel, nu=cfg.nu)
+                rows.append((t.to_text(), order, rep.value, rep.dt, rep.dx))
+        assert (out / "hierarchy_residuals.csv").read_text() == reference_csv(
+            ["tree", "order", "l1_residual", "dt", "dx"], rows)
+
     def test_gap_csv_format(self, config_file, tmp_path):
         out = tmp_path / "conv"
         assert main(["convergence", "--config", str(config_file), "--out", str(out)]) == 0

@@ -1,5 +1,8 @@
+import itertools
 import math
+import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from nxmf import (
 from nxmf import metrics, seeding
 from nxmf.metrics import MASS_TOL, AgentLawSpec, GapReport
 from nxmf.weights import SparseWeights, check_scaling
+from conftest import segment_integrals_reference
 
 
 def greedy_transport_oracle(xa, wa, xb, wb):
@@ -145,6 +149,31 @@ def report_bits(reports):
     return [(r.t, r.seeds, *bits([r.gap, r.bound, r.stderr, r.dx]).tolist()) for r in reports]
 
 
+class TestSegmentIntegrals:
+    # signed zeros, subnormals, values whose products underflow (1e-170 *
+    # 1e-170) or overflow, equal magnitudes and extreme ratios
+    VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-170, -1e-170, 1e-160, -3e-9, 0.3, -0.3,
+              0.7, 1.0, -1.0, 1e150, -1e300]
+
+    def test_bitwise_equal_to_both_branches(self):
+        d0, d1 = np.array(list(itertools.product(self.VALUES, repeat=2))).T
+        lengths = np.resize([0.01, 1.0, 3e-5, 1e-300, 7.5], d0.size)
+        with np.errstate(all="ignore"):
+            got = metrics._segment_integrals(d0, d1, lengths)
+            want = segment_integrals_reference(d0, d1, lengths)
+            assert (d0 * d1 < 0).any() and (d0 * d1 == 0).any()
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_broadcast_lengths(self, rng):
+        # the batched W1's layout: (draw, row, segment) against (row, segment)
+        d0 = rng.standard_normal((3, 4, 9)) * 1e-3
+        d1 = rng.standard_normal((3, 4, 9)) * 1e-3
+        d1[0] = 0.0
+        lengths = rng.random((4, 9))
+        assert np.array_equal(bits(metrics._segment_integrals(d0, d1, lengths)),
+                              bits(segment_integrals_reference(d0, d1, lengths)))
+
+
 class TestBatchedW1:
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12),
@@ -175,11 +204,16 @@ class TestBatchedW1:
         wv[-1, rng.integers(m)] = 1.0
         wv /= wv.sum(axis=1, keepdims=True)
 
-        got = metrics._w1_atoms_vs_grid(x, g, v, wv)
         # zero-weight atoms stay in the reference law, as knots of its CDF
         ref = np.array([[w1(Law1D.from_atoms(x[r], wd), Law1D.from_grid(g, v[r]))
                          for r in range(rows)] for wd in wv])
-        assert np.array_equal(bits(got), bits(ref))
+        # W1_CHUNK of 1 sets up one row and passes one draw at a time; two
+        # rows per block puts row 0, with an atom on an edge, beside a row of
+        # another knot count; the default sets up every row at once here
+        for chunk in (1, 2 * (m + g.n_cells + 1), metrics.W1_CHUNK):
+            with mock.patch.object(metrics, "W1_CHUNK", chunk):
+                got = metrics._w1_atoms_vs_grid(x, g, v, wv)
+            assert np.array_equal(bits(got), bits(ref))
 
     def test_blocks_do_not_change_bits(self, rng, monkeypatch):
         g = Grid1D(-2.0, 2.0, 16)
@@ -189,6 +223,40 @@ class TestBatchedW1:
         whole = metrics._w1_atoms_vs_grid(x, g, v, wv)
         monkeypatch.setattr(metrics, "W1_CHUNK", 1)
         assert np.array_equal(bits(metrics._w1_atoms_vs_grid(x, g, v, wv)), bits(whole))
+
+    def test_mixed_knot_counts_in_one_block(self):
+        # rows of 14, 10 and 9 knots (5 atoms, 9 edges); a chunk of 28 puts
+        # two rows of different counts in one set-up block, 42 all three,
+        # and 84 also passes two draws at a time
+        g = Grid1D(0.0, 4.0, 8)
+        x = np.array([[0.25, 0.75, 1.25, 1.75, 5.0],
+                      [0.5, 0.5, 1.5, 2.5, -1.0],
+                      [1.0, 2.0, 2.0, 3.0, 3.0]])
+        v = np.array([[0.25] * 8, [0.1, 0.4, 0.4, 0.1] * 2, [0.0, 0.5, 0.5, 0.0] * 2])
+        edges = np.linspace(0.0, 4.0, 9)
+        assert [np.unique(np.concatenate((r, edges))).size for r in x] == [14, 10, 9]
+        wv = np.array([[0.2] * 5, [0.0, 0.5, 0.5, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0]])
+        ref = np.array([[w1(Law1D.from_atoms(x[r], wd), Law1D.from_grid(g, v[r]))
+                         for r in range(3)] for wd in wv])
+        for chunk in (1, 28, 42, 84, metrics.W1_CHUNK):
+            with mock.patch.object(metrics, "W1_CHUNK", chunk):
+                assert np.array_equal(bits(metrics._w1_atoms_vs_grid(x, g, v, wv)), bits(ref))
+
+    def test_setup_memory_bounded_by_chunk(self, rng):
+        # the mean-field W1 of cli_readme: 600 rows of 64 atoms on 256 cells,
+        # one draw.  Blocks of rows keep the peak near 2 MB; setting up
+        # every row at once took ~21 MB
+        g = Grid1D(-6.0, 6.0, 256)
+        x = rng.standard_normal((600, 64))
+        v = gaussian_fibers(g, rng.uniform(-1.0, 1.0, 600), np.full(600, 0.5)).values
+        wv = np.full((1, 64), 1.0 / 64)
+        tracemalloc.start()
+        try:
+            metrics._w1_atoms_vs_grid(x, g, v, wv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", ["density", "atom", "weight"])

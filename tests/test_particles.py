@@ -16,10 +16,15 @@ from nxmf import (
     linear_attraction,
 )
 from nxmf import particles, seeding
-from nxmf.kernels import LINE, Kernel
+from nxmf.kernels import LINE, PRESETS, Kernel
 from nxmf.particles import drift_batch
 from nxmf.weights import SparseWeights, check_scaling
-from conftest import pure_linear_kernel, random_sparse_weights, random_symmetric_weights
+from conftest import (
+    indicator_drift_reference,
+    pure_linear_kernel,
+    random_sparse_weights,
+    random_symmetric_weights,
+)
 
 
 def dense_drift_oracle(w, k, positions):
@@ -217,6 +222,63 @@ class TestDriftBlocks:
                 assert np.array_equal(got, want)
 
 
+# the entry-path kernels: linear_attraction at three amplitudes carries
+# eval_into, odd_2d (a custom kernel) has none
+HOOK_KERNELS = {"la_1": lambda: linear_attraction(1.0), "la_0.3": lambda: linear_attraction(0.3),
+                "la_-2": lambda: linear_attraction(-2.0), "odd_2d": odd_2d}
+
+
+def spread_positions(rng, n_rep, n, d):
+    """Positions whose differences reach exp's underflow, with repeats."""
+    x = rng.standard_normal((n_rep, n, d)) * 3.0
+    x[:, ::5] = rng.choice([-40.0, 0.0, 30.0], size=x[:, ::5].shape)
+    return x
+
+
+class TestWeightedRowSum:
+    @pytest.mark.parametrize("budget", [1, 40, None], ids=["block_1", "block_40", "default"])
+    @pytest.mark.parametrize("n_rep", [1, 5, 64])
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["folded", "unfolded"])
+    @pytest.mark.parametrize("name", sorted(HOOK_KERNELS))
+    def test_bitwise_equal_to_indicator_oracle(self, rng, monkeypatch, budget, n_rep,
+                                               symmetric, name):
+        # the row-sum matrix carries sign * w, and K goes straight into the
+        # block buffers: the same bits as w * K summed by a +/-1 indicator
+        if budget is not None:
+            monkeypatch.setattr(particles, "DRIFT_BLOCK", budget)
+        w = (random_symmetric_weights if symmetric else random_sparse_weights)(rng, 23, 0.4)
+        k = HOOK_KERNELS[name]()
+        n_eval = particles._drift_plan(w, k).rows.size
+        assert (n_eval < w.nnz) == symmetric
+        x = spread_positions(rng, n_rep, 23, k.dim)
+        got = drift_batch(w, k, x)
+        want = indicator_drift_reference(w, k, x)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("make", [
+        kuramoto, linear_attraction, lambda: linear_attraction(0.3),
+        lambda: linear_attraction(-2.0), lambda: TestHodgkinHuxley().make(),
+    ], ids=["kuramoto", "la_1", "la_0.3", "la_-2", "hodgkin_huxley"])
+    def test_hook_equals_eval(self, rng, make):
+        # every preset that sets eval_into, on (entry, replica, dim) blocks
+        k = make()
+        if k.name == "linear_attraction":
+            assert k.eval_into is not None
+        if k.eval_into is None:
+            return
+        x = spread_positions(rng, 64, 40, k.dim)
+        x[0, :4, 0] = [np.inf, -np.inf, np.nan, -0.0]
+        out, tmp = np.empty_like(x), np.empty_like(x)
+        with np.errstate(all="ignore"):
+            k.eval_into(x, out, tmp)
+            want = k.eval(x)
+        assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+
+    def test_every_preset_is_covered(self):
+        # test_hook_equals_eval lists every preset
+        assert set(PRESETS) == {"kuramoto", "linear_attraction", "hodgkin_huxley"}
+
+
 def without_diagonal(w):
     off = w.rows0 != w.cols0
     return SparseWeights(w.n_agents, w.rows0[off], w.cols0[off], w.values[off])
@@ -269,6 +331,35 @@ class TestOddKernel:
         assert kuramoto().odd and linear_attraction().odd and TestHodgkinHuxley().make().odd
         assert odd_2d().odd and not pure_linear_kernel().odd
         assert kuramoto().modes is not None and linear_attraction().modes is None
+
+
+def _la_eval(x):
+    return linear_attraction().eval(x)
+
+
+class TestEvalIntoGuard:
+    @pytest.mark.parametrize("hook", [
+        lambda x, out, tmp: np.multiply(x, np.exp(-(x * x)), out=out),
+        lambda x, out, tmp: np.add(_la_eval(x), 0.0, out=out),
+        lambda x, out, tmp: np.copyto(out, np.where(np.abs(x) > 26.0, 0.0, _la_eval(x))),
+        lambda x, out, tmp: np.copyto(out, np.where(np.isnan(x), 0.0, _la_eval(x))),
+    ], ids=["wrong_sign", "signed_zero", "flushes_underflow", "nan_to_zero"])
+    def test_wrong_hook_rejected(self, hook):
+        # a hook of the wrong sign, then hooks that differ from eval on some
+        # probe points only: the sign of zero, where exp underflows, at NaN
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="eval_into"):
+            Kernel(dim=1, eval=_la_eval, lipschitz=1.0, sup_norm=1.0, l1_norm=1.0, div_sup=1.0,
+                   zero_at_origin=True, odd=True, eval_into=hook)
+
+    def test_new_eval_needs_its_own_hook(self, rng):
+        k = linear_attraction()
+        with pytest.raises(ValueError, match="eval_into"):
+            dataclasses.replace(k, eval=lambda x: -2.0 * x * np.exp(-(x * x)))
+        doubled = dataclasses.replace(k, eval=lambda x: -2.0 * x * np.exp(-(x * x)),
+                                      eval_into=None)
+        w = random_symmetric_weights(rng, 9, 0.6)
+        x = rng.standard_normal((3, 9, 1))
+        assert np.array_equal(drift_batch(w, doubled, x), drift_batch(w, linear_attraction(2.0), x))
 
 
 def one(positions):

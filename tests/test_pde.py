@@ -368,7 +368,7 @@ class TestStepTransport:
         w = gen_uniform(2, 1.0, include_diagonal=True)
         base = linear_attraction()
         k = dataclasses.replace(base, eval=lambda x: np.where(x == 0.0, bad, base.eval(x)),
-                                zero_at_origin=False, odd=False)
+                                eval_into=None, zero_at_origin=False, odd=False)
         with np.errstate(invalid="ignore"), pytest.raises(CFLError, match="non-finite"):
             step(f, w, k, dt=1e-6)
 
@@ -466,7 +466,7 @@ class TestSolve:
         g = Grid1D(-3, 3, 32)
         f = gaussian_fibers(g, [0.0, 0.5], [0.5, 0.5])
         k = dataclasses.replace(linear_attraction(), eval=lambda x: np.full_like(x, math.nan),
-                                zero_at_origin=False)
+                                eval_into=None, zero_at_origin=False)
         with pytest.raises(CFLError, match="non-finite"):
             solve(f, gen_uniform(2, 1.0), k, nu=0.0, t_end=0.1, output_times=[0.1])
 
