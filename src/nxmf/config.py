@@ -21,7 +21,7 @@ import numpy as np
 
 from .kernels import PRESETS, Domain, Kernel
 from .metrics import AgentLawSpec
-from .pde import Grid1D
+from .pde import Grid1D, _domain_mismatch
 from .rearrange import n_pieces
 from .weights import SparseWeights, gen_class_permutation, gen_from_graphon, gen_uniform, load_edge_list
 
@@ -186,13 +186,11 @@ def _grid(gr: _Fields, domain: Domain) -> Grid1D:
     if x_max <= x_min:
         raise ConfigError(gr.name("x_max"), f"must exceed {gr.name('x_min')}")
     cells = gr.number("cells", lo=8, integer=True)
-    topology = gr.choice("topology", ("line", "torus"), default="line")
-    if topology != domain.kind:
-        raise ConfigError(gr.name("topology"), f"must be {domain.kind!r}, the kernel's domain")
-    if topology == "torus" and not math.isclose(x_max - x_min, domain.period, rel_tol=1e-12):
-        raise ConfigError(gr.name("x_max"), f"must make x_max - x_min the kernel's period "
-                          f"{domain.period!r}, not {x_max - x_min!r}")
-    return Grid1D(x_min, x_max, cells, topology)
+    grid = Grid1D(x_min, x_max, cells, gr.choice("topology", ("line", "torus"), default="line"))
+    bad = _domain_mismatch(grid, domain)
+    if bad is not None:
+        raise ConfigError(gr.name(bad[0]), bad[1])
+    return grid
 
 
 def _snapshots(tm: _Fields, t_end: float) -> list[float]:

@@ -8,7 +8,7 @@ row depends only on its own difference vector, because the particle drift
 evaluates K on blocks of entries and any split must give the same bits.
 An optional self_drift carries uncoupled per-agent
 dynamics (used by the neuron preset); it plays no role in the interaction
-bounds.
+bounds, and only the particles carry it.
 
 Which particle drift runs is a property of the kernel.  A kernel with
 modes, pairs (a_r, b_r) of elementwise functions with
@@ -123,8 +123,9 @@ def kuramoto(coupling: float = 1.0) -> Kernel:
 
     With drift sum_j w_ij K(theta_i - theta_j) this pulls each phase toward
     its neighbours (the synchronizing sign).  Per-oscillator natural
-    frequencies enter through self_drift (e.g. a function returning the
-    frequencies broadcast to the state's shape); there are none by default.
+    frequencies enter the particles through self_drift (e.g. a function
+    returning the frequencies broadcast to the state's shape), which solve
+    and the gap estimators reject; there are none by default.
     Its modes, from sin(x - y) = sin x cos y - cos x sin y, turn the drift
     into the local order parameters sum_j w_ij cos x_j and sum_j w_ij sin x_j.
     """

@@ -35,7 +35,8 @@ import numpy as np
 from . import seeding
 from .kernels import Kernel
 from .particles import _spans, integrate
-from .pde import FiberedDensity, Grid1D, gaussian_fibers, marginal, solve
+from .pde import (FiberedDensity, Grid1D, _check_operands, _domain_mismatch, gaussian_fibers,
+                  marginal, solve)
 from .weights import SparseWeights, check_scaling
 
 MASS_TOL = 1e-9
@@ -305,6 +306,15 @@ def _run(w, k, laws: AgentLawSpec, grid: Grid1D, times, t_end, dt, master_seed, 
     return traj, res.snapshots
 
 
+def _check_inputs(w: SparseWeights, k: Kernel, laws: AgentLawSpec, grid: Grid1D):
+    """Reject, before any particle step, what solve would reject after it,
+    and a grid off the kernel's domain (the rule a config's grid obeys)."""
+    _check_operands(laws.n_agents, w, k)
+    bad = _domain_mismatch(grid, k.domain)
+    if bad is not None:
+        raise ValueError(f"grid.{bad[0]} {bad[1]}")
+
+
 def _bound(t, scaling, k: Kernel) -> float:
     return c1(t, scaling.max_row_abs_sum, k.w1inf_norm) * math.sqrt(scaling.max_entry_abs)
 
@@ -352,8 +362,7 @@ def independence_gap(w: SparseWeights, k: Kernel, laws: AgentLawSpec, grid: Grid
     """
     if n_replicas < 100:
         raise ValueError("need at least 100 replicas for a usable estimate")
-    if k.dim != 1:
-        raise ValueError("gap diagnostics are 1-D")
+    _check_inputs(w, k, laws, grid)
     scaling = check_scaling(w)
     traj, fibers = _run(w, k, laws, grid, [t_end], t_end, dt, master_seed, n_replicas, sigma)
     return _independence_report(traj[0], fibers[0], grid, t_end, scaling, k, master_seed,
@@ -371,8 +380,7 @@ def meanfield_gap(w: SparseWeights, k: Kernel, laws: AgentLawSpec, grid: Grid1D,
     with constants that are not quantified here, so small-N gaps can
     exceed the column and only the qualitative N-decay is testable.
     """
-    if k.dim != 1:
-        raise ValueError("gap diagnostics are 1-D")
+    _check_inputs(w, k, laws, grid)
     if n_seeds < 1:
         raise ValueError("need at least one seed")
     times = sorted(float(t) for t in times)
@@ -406,8 +414,7 @@ def convergence_gaps(w: SparseWeights, k: Kernel, laws: AgentLawSpec, grid: Grid
     """
     if n_replicas < 100:
         raise ValueError("need at least 100 replicas for a usable estimate")
-    if k.dim != 1:
-        raise ValueError("gap diagnostics are 1-D")
+    _check_inputs(w, k, laws, grid)
     snaps = sorted(float(t) for t in snapshots)
     if not snaps:
         raise ValueError("need at least one output time")

@@ -48,11 +48,11 @@ class LatticeBudgetError(MemoryError):
 # tau by message passing
 # ---------------------------------------------------------------------------
 
-def _check_budget(n_fibers: int, g_cells: int, order: int, budget: int):
+def _check_budget(n_fibers: int, g_cells: int, order: int):
     need = n_fibers * g_cells**order
-    if need > budget:
+    if need > DEFAULT_BUDGET:
         raise LatticeBudgetError(
-            f"lattice evaluation needs {need} entries (> budget {budget}); "
+            f"lattice evaluation needs {need} entries (> budget {DEFAULT_BUDGET}); "
             "evaluate at a supplied list of x-tuples instead (tau_at)"
         )
 
@@ -64,14 +64,14 @@ def _outer(msg: np.ndarray, child: np.ndarray) -> np.ndarray:
     return (a * b).reshape(msg.shape + child.shape[1:])
 
 
-def _messages_root(t: LabeledTree, w: SparseWeights, leaf_of):
+def _messages_root(t: LabeledTree, w: SparseWeights, leaf_of, join=_outer):
     """Leaves-to-root message passing, stopping short of the root product.
 
-    leaf_of(v) supplies vertex v's per-fiber factor: an array whose first
-    axis is the fiber index and whose remaining axes are that vertex's own
-    variables.  Returns the root's factor, the messages its children send
-    across their edges, and the variable order of the trailing axes of the
-    root message: the root's factor outer each sent message in turn.
+    leaf_of(v) supplies vertex v's per-fiber factor (fiber index first); join
+    combines it with each message sent to v: _outer gives every vertex its
+    own variable axes, np.multiply one shared axis (tau_at, tau_density).
+    Returns the root's factor, the messages its children send across their
+    edges, and the variable order of the root message's trailing axes.
     """
     messages: dict[int, tuple[np.ndarray, list[int]]] = {}
     for v in range(t.order, 0, -1):
@@ -79,13 +79,13 @@ def _messages_root(t: LabeledTree, w: SparseWeights, leaf_of):
         var_order = [v]
         for c in t.children(v):
             mc, vars_c = messages.pop(c)
-            sent.append(kernel_apply(w, mc.reshape(mc.shape[0], -1)).reshape(mc.shape))
+            sent.append(kernel_apply(w, mc))
             var_order.extend(vars_c)
         if v == 1:
             return leaf_of(1), sent, var_order
         msg = leaf_of(v)
         for s in sent:
-            msg = _outer(msg, s)
+            msg = join(msg, s)
         messages[v] = (msg, var_order)
 
 
@@ -114,8 +114,7 @@ class Observable:
 
 
 def tau(t: LabeledTree, w: SparseWeights, f: FiberedDensity,
-        vertex_factors: dict[int, np.ndarray] | None = None,
-        budget: int = DEFAULT_BUDGET) -> Observable:
+        vertex_factors: dict[int, np.ndarray] | None = None) -> Observable:
     """Observable on the full lattice.
 
     vertex_factors optionally multiplies vertex v's per-fiber profile by an
@@ -126,7 +125,7 @@ def tau(t: LabeledTree, w: SparseWeights, f: FiberedDensity,
         raise ValueError(f"tau lattice evaluation capped at order {TAU_ORDER_CAP}")
     if w.n_agents != f.n_fibers:
         raise ValueError("weights and density disagree on the fiber count")
-    _check_budget(f.n_fibers, f.grid.n_cells, t.order, budget)
+    _check_budget(f.n_fibers, f.grid.n_cells, t.order)
     factors = vertex_factors or {}
 
     def leaf_of(v):
@@ -161,22 +160,6 @@ def tau(t: LabeledTree, w: SparseWeights, f: FiberedDensity,
     return Observable(tree=t, grid=f.grid, values=lattice)
 
 
-def _pointwise_root(t: LabeledTree, w: SparseWeights, leaf_of) -> np.ndarray:
-    """Leaves-to-root message passing with every vertex on one shared axis.
-
-    leaf_of(v) supplies vertex v's per-fiber factor (fiber index first);
-    messages combine elementwise, adding no variable axes.  Returns the
-    root message.
-    """
-    messages: dict[int, np.ndarray] = {}
-    for v in range(t.order, 0, -1):
-        msg = leaf_of(v)
-        for c in t.children(v):
-            msg = msg * kernel_apply(w, messages.pop(c))
-        messages[v] = msg
-    return messages[1]
-
-
 def tau_at(t: LabeledTree, w: SparseWeights, f: FiberedDensity,
            cells: np.ndarray) -> np.ndarray:
     """Observable sampled at a list of x-tuples given as cell indices in
@@ -189,7 +172,8 @@ def tau_at(t: LabeledTree, w: SparseWeights, f: FiberedDensity,
         raise ValueError("cells must have shape (n_points, order)")
     if cells.size and not (cells.min() >= 0 and cells.max() < f.grid.n_cells):
         raise ValueError(f"cell indices must lie in [0, {f.grid.n_cells})")
-    return _pointwise_root(t, w, lambda v: f.values[:, cells[:, v - 1]]).mean(axis=0)
+    leaf, sent, _ = _messages_root(t, w, lambda v: f.values[:, cells[:, v - 1]], np.multiply)
+    return math.prod(sent, start=leaf).mean(axis=0)
 
 
 def tau_density(t: LabeledTree, w: SparseWeights) -> float:
@@ -200,7 +184,8 @@ def tau_density(t: LabeledTree, w: SparseWeights) -> float:
     if t.order > DENSITY_ORDER_CAP:
         raise ValueError(f"density computation capped at order {DENSITY_ORDER_CAP}")
     ones = np.ones(w.n_agents)
-    return float(_pointwise_root(t, w, lambda v: ones).mean())
+    leaf, sent, _ = _messages_root(t, w, lambda v: ones, np.multiply)
+    return float(math.prod(sent, start=leaf).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +201,7 @@ class HierarchyState:
     n_max: int
 
 
-def hierarchy(w: SparseWeights, f: FiberedDensity, n_max: int, lam: float,
-              budget: int = DEFAULT_BUDGET) -> HierarchyState:
+def hierarchy(w: SparseWeights, f: FiberedDensity, n_max: int, lam: float) -> HierarchyState:
     if not 1 <= n_max <= TAU_ORDER_CAP:
         raise ValueError(f"n_max must lie in 1..{TAU_ORDER_CAP}")
     if lam <= 0:
@@ -225,7 +209,7 @@ def hierarchy(w: SparseWeights, f: FiberedDensity, n_max: int, lam: float,
     obs = {}
     for order in range(1, n_max + 1):
         for t in enumerate_trees(order):
-            obs[t] = tau(t, w, f, budget=budget)
+            obs[t] = tau(t, w, f)
     return HierarchyState(observables=obs, lam=lam, n_max=n_max)
 
 
@@ -285,7 +269,7 @@ def _central_lap(arr: np.ndarray, axis: int, dx: float, periodic: bool) -> np.nd
 
 
 def hierarchy_residual(t: LabeledTree, w: SparseWeights, f_series, k: Kernel,
-                       nu: float = 0.0, budget: int = DEFAULT_BUDGET) -> ResidualReport:
+                       nu: float = 0.0) -> ResidualReport:
     """Defect of the observable evolution equation on computed snapshots.
 
         r = d/dt tau(T) + sum_i d/dx_i [ int K(x_i - z) tau(T+i)(..., z) dz ]
@@ -298,11 +282,11 @@ def hierarchy_residual(t: LabeledTree, w: SparseWeights, f_series, k: Kernel,
     order+1 lattice is ever materialized.  Returns the L1 norm of r at the
     middle snapshot.
     """
-    return _residual(t, w, f_series, k, nu, budget)
+    return _residual(t, w, f_series, k, nu)
 
 
 def _residual(t: LabeledTree, w: SparseWeights, f_series, k: Kernel, nu: float = 0.0,
-              budget: int = DEFAULT_BUDGET, tau1=None, vel=None) -> ResidualReport:
+              tau1=None, vel=None) -> ResidualReport:
     """hierarchy_residual, taking tau(t, w, f1).values and velocity(f1, w, k)
     of the middle snapshot f1 as tau1 and vel when the caller has them."""
     if t.order + 1 > TAU_ORDER_CAP:
@@ -319,10 +303,10 @@ def _residual(t: LabeledTree, w: SparseWeights, f_series, k: Kernel, nu: float =
     grid = f1.grid
     periodic = grid.topology == "torus"
 
-    tau0 = tau(t, w, f0, budget=budget).values
+    tau0 = tau(t, w, f0).values
     if tau1 is None:
-        tau1 = tau(t, w, f1, budget=budget).values
-    tau2 = tau(t, w, f2, budget=budget).values
+        tau1 = tau(t, w, f1).values
+    tau2 = tau(t, w, f2).values
     # non-uniform three-point first derivative at t1
     c0 = -h2 / (h1 * (h1 + h2))
     c1 = (h2 - h1) / (h1 * h2)
@@ -332,7 +316,7 @@ def _residual(t: LabeledTree, w: SparseWeights, f_series, k: Kernel, nu: float =
     if vel is None:
         vel = velocity(f1, w, k)
     for i in range(1, t.order + 1):
-        grown = tau(t, w, f1, vertex_factors={i: vel}, budget=budget).values
+        grown = tau(t, w, f1, vertex_factors={i: vel}).values
         r = r + _central_diff(grown, axis=i - 1, dx=grid.dx, periodic=periodic)
     if nu > 0:
         for i in range(1, t.order + 1):

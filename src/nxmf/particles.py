@@ -89,7 +89,7 @@ def _drift_scratch(w, k, n_rep, d):
     plan entry, (n_eval, n_rep, d), and two (block, n_rep, d) buffers for
     one block of gathered positions."""
     n_eval = _drift_plan(w, k).rows.size
-    block = min(n_eval, max(1, DRIFT_BLOCK // (n_rep * d)))
+    block = max(1, min(n_eval, DRIFT_BLOCK // (n_rep * d)))
     return np.empty((n_eval, n_rep, d)), np.empty((block, n_rep, d)), np.empty((block, n_rep, d))
 
 
@@ -138,13 +138,10 @@ def drift_batch(w, k, positions, scratch=None):
     plan = _drift_plan(w, k)
     kv, a, b = _drift_scratch(w, k, r, d) if scratch is None else scratch
     n_eval, step = plan.rows.size, a.shape[0]
-    if step >= n_eval:      # one block: no views to cut
-        _eval_block(k, by_agent, plan.rows, plan.cols, kv, a, b)
-    else:
-        for lo in range(0, n_eval, step):
-            hi = lo + step
-            _eval_block(k, by_agent, plan.rows[lo:hi], plan.cols[lo:hi], kv[lo:hi],
-                        a[:n_eval - lo], b[:n_eval - lo])
+    for lo in range(0, n_eval, step):
+        hi = lo + step
+        _eval_block(k, by_agent, plan.rows[lo:hi], plan.cols[lo:hi], kv[lo:hi],
+                    a[:n_eval - lo], b[:n_eval - lo])
     return (plan.rowsum @ kv.reshape(-1, r * d)).reshape(n, r, d).transpose(1, 0, 2)
 
 

@@ -7,8 +7,8 @@ scheme is conservative first-order upwind finite volume, followed in each
 step by backward Euler diffusion (so only advection limits dt): exact
 discrete mass is load-bearing for the observable machinery downstream, so
 it is preferred over formal order.  `solve` is the one transport entry
-point; `velocity` evaluates the same field on a given density (the
-hierarchy residuals use it).
+point; `velocity` is `solve`'s velocity operator applied to a given
+density (the hierarchy residuals use it).
 
 Fibers that start bitwise equal and see bitwise-equal weight rows, up to
 which class each column falls in, stay bitwise equal.  `solve` therefore
@@ -31,8 +31,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .kernels import Kernel
-from .weights import SparseWeights, kernel_apply
+from .kernels import Domain, Kernel
+from .weights import SparseWeights
 
 
 # fraction of the advective CFL limit an automatically chosen step takes
@@ -180,13 +180,11 @@ def _scratch(n: int, g: Grid1D) -> _Scratch:
                     neg=np.empty((n, G), dtype=bool))
 
 
-def _convolve(vals: np.ndarray, g: Grid1D, kh: np.ndarray, buf: _Scratch | None = None):
+def _convolve(vals: np.ndarray, g: Grid1D, kh: np.ndarray, buf: _Scratch):
     """Each row of vals convolved with the kernel of spectrum kh (from
-    _spectrum on the same grid): circular on the torus, linear on the line.
-    Returns buf.conv, from fresh buffers when buf is None."""
+    _spectrum on the same grid) by midpoint quadrature, via the FFT:
+    circular on the torus, linear on the line.  Returns buf.conv."""
     G = g.n_cells
-    if buf is None:
-        buf = _scratch(vals.shape[0], g)
     n_fft = buf.wide.shape[1]
     np.fft.rfft(vals, n=n_fft, axis=1, out=buf.spec)
     np.multiply(buf.spec, kh, out=buf.spec)
@@ -195,28 +193,33 @@ def _convolve(vals: np.ndarray, g: Grid1D, kh: np.ndarray, buf: _Scratch | None 
     return np.multiply(src, g.dx, out=buf.conv)
 
 
-def fiber_convolution(f: FiberedDensity, k: Kernel) -> np.ndarray:
-    """phi(x, zeta) = integral K(x - y) f(y, zeta) dy by midpoint quadrature,
-    through the FFT in O(G log G) per fiber.
-
-    On the torus the offsets wrap to the nearest image; on the line the
-    convolution is linear with zero padding.
-    """
-    return _convolve(f.values, f.grid, _spectrum(f.grid, k))
-
-
 def _check_operands(n_fibers: int, w: SparseWeights, k: Kernel):
     if w.n_agents != n_fibers:
         raise ValueError(f"{w.n_agents} weight rows for {n_fibers} fibers")
     if k.dim != 1:
         raise ValueError("grid transport is 1-D")
+    if k.self_drift is not None:
+        raise ValueError("self_drift is particle-only: the transport equations have no such term")
+
+
+def _domain_mismatch(g: Grid1D, domain: Domain) -> tuple[str, str] | None:
+    """(grid field, reason) when g is off the kernel's domain, on which the
+    particles live: another topology, or a torus whose length is not the
+    period (to a relative 1e-12).  None when g lies on it."""
+    if g.topology != domain.kind:
+        return "topology", f"must be {domain.kind!r}, the kernel's domain"
+    if g.topology == "torus" and not math.isclose(g.length, domain.period, rel_tol=1e-12):
+        return "x_max", (f"must make x_max - x_min the kernel's period {domain.period!r}, "
+                         f"not {g.length!r}")
+    return None
 
 
 def velocity(f: FiberedDensity, w: SparseWeights, k: Kernel) -> np.ndarray:
     """Velocity of every fiber on the cells, shape (n_fibers, G): the weight
-    matrix applied across fibers to the per-fiber kernel convolutions."""
+    matrix applied across fibers to the per-fiber kernel convolutions, the
+    product solve marches with."""
     _check_operands(f.n_fibers, w, k)
-    return kernel_apply(w, fiber_convolution(f, k))
+    return w.csr() @ _convolve(f.values, f.grid, _spectrum(f.grid, k), _scratch(f.n_fibers, f.grid))
 
 
 def cfl_limits(vmax: float, dx: float) -> float:
@@ -407,7 +410,7 @@ def solve(f0: FiberedDensity, w: SparseWeights, k: Kernel, nu: float,
         raise ValueError("nu must be >= 0")
     _check_operands(f0.n_fibers, w, k)
     targets = sorted(float(t) for t in output_times)
-    if any(t < 0 or t > t_end + 1e-12 for t in targets):
+    if not all(0 <= t <= t_end + 1e-12 for t in targets):      # also rejects NaN
         raise ValueError("output times must lie in [0, t_end]")
     g = f0.grid
     dx = g.dx
@@ -433,12 +436,7 @@ def solve(f0: FiberedDensity, w: SparseWeights, k: Kernel, nu: float,
         return FiberedDensity(grid=g, values=vals, time=time, initial_mass=f0.initial_mass,
                               leakage=leakage, clamp_total=clamp_total)
 
-    snaps: dict[int, FiberedDensity] = {}
-    pending = list(range(len(targets)))
-    for idx in list(pending):
-        if targets[idx] <= 0 or t_end == 0:
-            snaps[idx] = f0
-            pending.remove(idx)
+    snaps = [f0 for t in targets if t <= 0 or t_end == 0]
     kh = _spectrum(g, k)
     buf = _scratch(vals.shape[0], g)
     # step i writes spare[i % 2], so it never overwrites its input
@@ -464,17 +462,14 @@ def solve(f0: FiberedDensity, w: SparseWeights, k: Kernel, nu: float,
         state = (new, time + step_dt, leakage + leak, clamp_total + clamp)
         max_drift = max(max_drift, defect)
         n_steps += 1
-        for idx in list(pending):
-            tgt = targets[idx]
-            if state[1] >= tgt - 1e-12:
-                nearest = state if abs(state[1] - tgt) <= abs(time - tgt) else prev
-                snaps[idx] = density(*nearest)
-                pending.remove(idx)
+        while len(snaps) < len(targets) and state[1] >= targets[len(snaps)] - 1e-12:
+            tgt = targets[len(snaps)]
+            nearest = state if abs(state[1] - tgt) <= abs(time - tgt) else prev
+            snaps.append(density(*nearest))
     final = density(*state)
-    for idx in pending:                  # targets at/after the final time
-        snaps[idx] = final
+    snaps += [final] * (len(targets) - len(snaps))      # targets at/after the final time
     return SolveResult(
-        snapshots=[snaps[i] for i in range(len(targets))],
+        snapshots=snaps,
         n_steps=n_steps,
         max_step_mass_drift=max_drift,
         final=final,

@@ -83,6 +83,19 @@ def tau_full_message_reference(t, w, f, vertex_factors=None) -> np.ndarray:
     return np.transpose(root.mean(axis=0), np.argsort(var_order))
 
 
+def pointwise_root_reference(t, w, leaf_of):
+    """The root message with every vertex on one shared axis, each vertex's
+    factor leaf_of(v) multiplied by its children's messages as they are
+    sent (oracle for tau_at and tau_density)."""
+    messages = {}
+    for v in range(t.order, 0, -1):
+        msg = leaf_of(v)
+        for c in t.children(v):
+            msg = msg * kernel_apply(w, messages.pop(c))
+        messages[v] = msg
+    return messages[1]
+
+
 def indicator_drift_reference(w, k, positions):
     """The entry-path drift with w applied to K's values and a signed
     (+1/-1) indicator summing them into rows (oracle for the row-sum matrix

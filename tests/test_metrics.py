@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -28,7 +29,7 @@ from nxmf import (
     w1,
 )
 from nxmf import metrics, seeding
-from nxmf.metrics import MASS_TOL, AgentLawSpec, GapReport
+from nxmf.metrics import MASS_TOL, AgentLawSpec, GapReport, convergence_gaps
 from nxmf.weights import SparseWeights, check_scaling
 from conftest import segment_integrals_reference
 
@@ -375,7 +376,54 @@ def corrupt_solve(monkeypatch, how):
     monkeypatch.setattr(metrics, "solve", bad_solve)
 
 
+# the three gap estimators on (w, k, laws, grid) with t_end 0.5 and dt 0.05
+ESTIMATORS = {
+    "independence_gap": lambda w, k, laws, grid: independence_gap(
+        w, k, laws, grid, 0.5, 0.05, 7, 100),
+    "meanfield_gap": lambda w, k, laws, grid: meanfield_gap(
+        w, k, laws, grid, [0.25, 0.5], 0.05, 7, 4),
+    "convergence_gaps": lambda w, k, laws, grid: convergence_gaps(
+        w, k, laws, grid, 0.5, [0.25, 0.5], 0.05, 7, 100, 4),
+}
+
+# a kernel and a grid off its domain, with the grid field the error names
+OFF_DOMAIN = {
+    "line_for_circle": (kuramoto, Grid1D(-6.0, 6.0, 128), "grid.topology"),
+    "torus_for_line": (linear_attraction, Grid1D(0.0, 2 * math.pi, 128, "torus"),
+                       "grid.topology"),
+    "torus_not_period": (kuramoto, Grid1D(0.0, 6.0, 128, "torus"), "grid.x_max"),
+}
+
+
+def forbid_particle_steps(monkeypatch):
+    """The estimators must reject their inputs before integrating."""
+    def fail(*args, **kwargs):
+        raise AssertionError("particles integrated before the inputs were checked")
+    monkeypatch.setattr(metrics, "integrate", fail)
+
+
 class TestEstimatorGuards:
+    @pytest.mark.parametrize("case", sorted(OFF_DOMAIN))
+    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+    def test_grid_off_kernel_domain_rejected_before_any_step(self, monkeypatch, estimator,
+                                                             case):
+        make_kernel, grid, field = OFF_DOMAIN[case]
+        w = gen_class_permutation(16, 4, [2, 3, 4, 1])
+        laws = AgentLawSpec.spread(16, -1.0, 1.0, 0.4)
+        forbid_particle_steps(monkeypatch)
+        with pytest.raises(ValueError, match=field):
+            ESTIMATORS[estimator](w, make_kernel(), laws, grid)
+
+    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+    def test_self_drift_rejected_before_any_step(self, monkeypatch, estimator):
+        # solve has no self-dynamics term, so the fibers would not feel the drift
+        k = dataclasses.replace(kuramoto(1.0), self_drift=lambda x: np.full_like(x, 2.0))
+        w = gen_class_permutation(16, 4, [2, 3, 4, 1])
+        laws = AgentLawSpec.spread(16, 1.6, 4.6, 0.5)
+        forbid_particle_steps(monkeypatch)
+        with pytest.raises(ValueError, match="self_drift"):
+            ESTIMATORS[estimator](w, k, laws, Grid1D(0.0, 2 * math.pi, 128, "torus"))
+
     @pytest.mark.parametrize("how, match", [("negative", ">= 0"), ("mass", "mass")])
     def test_independence_gap_rejects_bad_fiber(self, monkeypatch, how, match):
         w, k, laws, grid, sigma, dt = GAP_CASES["line"]()

@@ -35,6 +35,7 @@ from nxmf.observables import (
 )
 from nxmf import check_scaling, observables
 from conftest import (
+    pointwise_root_reference,
     random_fibers,
     random_sparse_weights,
     tau_dense_reference,
@@ -136,12 +137,13 @@ class TestTau:
         for t in (T2, T31):
             assert np.abs(tau(t, w, f).values).max() == 0.0
 
-    def test_budget_error_suggests_points(self):
+    def test_budget_error_suggests_points(self, monkeypatch):
         g = Grid1D(-2, 2, 64)
         f = FiberedDensity(grid=g, values=np.full((4, 64), 0.25 / 4))
         w = gen_uniform(4, 1.0)
+        monkeypatch.setattr(observables, "DEFAULT_BUDGET", 1000)
         with pytest.raises(LatticeBudgetError, match="tau_at"):
-            tau(LabeledTree((0, 1, 1, 1)), w, f, budget=1000)
+            tau(LabeledTree((0, 1, 1, 1)), w, f)
 
     def test_tau_at_matches_lattice(self, rng):
         g = Grid1D(-3, 3, 10)
@@ -179,6 +181,17 @@ class TestTau:
         for t in enumerate_trees(order):
             direct = tau(t, w, f).values[tuple(pts.T)]
             assert np.abs(tau_at(t, w, f, pts) - direct).max() <= 1e-13
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_tau_at_bitwise_equal_to_pointwise_oracle(self, rng, order):
+        g = Grid1D(-3, 3, 9)
+        for n in (1, 3, 7):
+            w = random_sparse_weights(rng, n, density=0.6)
+            f = random_fibers(rng, g, n)
+            pts = rng.integers(0, 9, size=(13, order))
+            for t in enumerate_trees(order):
+                ref = pointwise_root_reference(t, w, lambda v: f.values[:, pts[:, v - 1]])
+                assert tau_at(t, w, f, pts).tobytes() == ref.mean(axis=0).tobytes()
 
     def test_sup_bound(self, rng):
         # |tau|_inf <= max_row_abs_sum^(m-1) * (max fiber sup)^m
@@ -246,6 +259,16 @@ class TestTauDensity:
             for t in enumerate_trees(order):
                 ref = tau_dense_reference(t, w, f).values
                 assert np.abs(ref - tau_density(t, w)).max() <= 1e-13
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_bitwise_equal_to_pointwise_oracle(self, rng, order):
+        # the leaves are 1-D: one value per fiber, no lattice axis
+        for n in (1, 3, 7, 12):
+            w = random_sparse_weights(rng, n, density=0.6)
+            ones = np.ones(n)
+            for t in enumerate_trees(order):
+                ref = float(pointwise_root_reference(t, w, lambda v: ones).mean())
+                assert np.float64(tau_density(t, w)).tobytes() == np.float64(ref).tobytes()
 
 
 class TestHierarchy:

@@ -22,7 +22,6 @@ from nxmf import (
 )
 from nxmf import gen_class_permutation, pde
 from nxmf.metrics import AgentLawSpec
-from nxmf.pde import fiber_convolution
 from conftest import pure_linear_kernel, random_fibers, random_sparse_weights
 
 
@@ -212,12 +211,13 @@ class TestVelocity:
 
     @pytest.mark.parametrize("topology", ["line", "torus"])
     def test_fft_matches_direct(self, rng, topology):
+        # with identity weights the velocity is each fiber's own convolution
         span = (0.0, 2 * math.pi) if topology == "torus" else (-6.0, 6.0)
         g = Grid1D(span[0], span[1], 96, topology=topology)
         k = kuramoto() if topology == "torus" else linear_attraction()
         f = FiberedDensity(grid=g, values=rng.random((5, 96)))
         a = direct_convolution(f, k)
-        b = fiber_convolution(f, k)
+        b = velocity(f, gen_class_permutation(5, 1, range(1, 6)), k)
         assert np.abs(a - b).max() <= 1e-10
 
     def test_mismatch_rejected(self, rng):
@@ -523,6 +523,36 @@ class TestSolve:
         assert times[0] == 0.0
         assert abs(times[1] - 0.2) <= 0.025 + 1e-12
         assert abs(times[2] - 0.4) <= 1e-12
+
+    def test_unsorted_times_passed_by_one_step(self):
+        # the step to 0.25 passes 0.21, 0.22 and 0.22, each nearest the step at 0.2
+        g = Grid1D(-6, 6, 64)
+        f = gaussian_fibers(g, [0.0, 1.0], [0.5, 0.7])
+        w, k = gen_uniform(2, 1.0), linear_attraction()
+        res = solve(f, w, k, nu=0.0, t_end=0.4, output_times=[0.4, 0.22, 0.0, 0.21, 0.22],
+                    dt=0.05)
+        ref = solve(f, w, k, nu=0.0, t_end=0.4, output_times=[0.0, 0.2, 0.4], dt=0.05)
+        want = [ref.snapshots[i] for i in (0, 1, 1, 1, 2)]
+        assert [s.time for s in res.snapshots] == [s.time for s in want]
+        assert all(a.values.tobytes() == b.values.tobytes() for a, b in zip(res.snapshots, want))
+
+    @pytest.mark.parametrize("t", [-0.1, 0.5, math.nan])
+    def test_rejects_output_time_off_the_run(self, rng, t):
+        f = random_fibers(rng, Grid1D(-3, 3, 32), 3)
+        with pytest.raises(ValueError, match="output times"):
+            solve(f, empty_weights(3), linear_attraction(), nu=0.0, t_end=0.4,
+                  output_times=[0.2, t])
+
+    def test_self_drift_rejected(self):
+        # the transport equations carry no self-dynamics term
+        g = Grid1D(0.0, 2 * math.pi, 128, "torus")
+        f = gaussian_fibers(g, np.linspace(1.6, 4.6, 16), np.full(16, 0.5))
+        w = gen_class_permutation(16, 4, [2, 3, 4, 1])
+        k = dataclasses.replace(kuramoto(1.0), self_drift=lambda x: np.full_like(x, 2.0))
+        with pytest.raises(ValueError, match="self_drift"):
+            solve(f, w, k, nu=0.0, t_end=1.0, output_times=[1.0])
+        with pytest.raises(ValueError, match="self_drift"):
+            velocity(f, w, k)
 
 
 def class_block_inputs(g, labels, base, block):
