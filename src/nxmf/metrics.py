@@ -35,8 +35,8 @@ import numpy as np
 from . import seeding
 from .kernels import Kernel
 from .particles import _spans, integrate
-from .pde import (FiberedDensity, Grid1D, _check_operands, _domain_mismatch, gaussian_fibers,
-                  marginal, solve)
+from .pde import (FiberedDensity, Grid1D, _check_operands, _domain_mismatch, _output_times,
+                  gaussian_fibers, marginal, solve)
 from .weights import SparseWeights, check_scaling
 
 MASS_TOL = 1e-9
@@ -415,7 +415,7 @@ def convergence_gaps(w: SparseWeights, k: Kernel, laws: AgentLawSpec, grid: Grid
     if n_replicas < 100:
         raise ValueError("need at least 100 replicas for a usable estimate")
     _check_inputs(w, k, laws, grid)
-    snaps = sorted(float(t) for t in snapshots)
+    snaps = _output_times(snapshots, t_end)        # solve's rule, before any step
     if not snaps:
         raise ValueError("need at least one output time")
     if not 1 <= n_seeds <= n_replicas:

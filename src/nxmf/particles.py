@@ -30,8 +30,6 @@ CHUNK = 64
 # (entry, replica, dim) elements per block of drift_batch, 256 KB per block
 # buffer; no result depends on it
 DRIFT_BLOCK = 1 << 15
-# (replica, step) noise keys hashed at once by integrate; no result depends on it
-KEY_BATCH = 1 << 16
 
 
 class StabilityError(RuntimeError):
@@ -182,17 +180,18 @@ def integrate(w: SparseWeights, k: Kernel, x0, times, dt: float, sigma: float = 
     x0 has shape (R, N, d); the result has shape (len(times), R, N, d).
     The scheme is RK4 when sigma = 0 and Euler-Maruyama with additive noise
     otherwise, plus k.self_drift when the kernel has one, wrapped on a
-    torus.  Replica r draws the noise of global step s from its own
-    (NOISE, r, s) stream and replicas advance in fixed chunks, so a
-    replica's trajectory is bitwise independent of the replica count, the
-    chunking and of how the times are split (for the same step partition).
-    The keys of a chunk's streams are hashed in batches of steps
-    (seeding.philox_keys), and each step draws the chunk's block at once
-    (seeding.normal_block).
+    torus, from x0 wrapped onto the domain.  The noise of replica r at
+    global step s is the slot (s, r) of the path-noise stream, the standard
+    normals of Generator(Philox(key=K, counter=[0, 0, s, r])) with K the key
+    of stream(master_seed, NOISE), derived once per call; each step draws
+    the chunk's block at once (seeding.normal_block).  Replicas advance in
+    fixed chunks, so a replica's trajectory is bitwise independent of the
+    replica count, the chunking and of how the times are split (for the
+    same step partition).
     Raises StabilityError when a step violates the stability guard or
     leaves a non-finite state.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
+    x0 = _wrap(np.asarray(x0, dtype=np.float64), k)
     if x0.ndim != 3:
         raise ValueError("x0 must have shape (R, N, d)")
     n_rep, n, d = x0.shape
@@ -200,9 +199,9 @@ def integrate(w: SparseWeights, k: Kernel, x0, times, dt: float, sigma: float = 
         raise ValueError("weights and positions disagree on the number of agents")
     if k.dim != d:
         raise ValueError(f"kernel dimension {k.dim} != state dimension {d}")
-    if dt <= 0:
+    if not dt > 0:            # also rejects NaN
         raise ValueError("dt must be positive")
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError("sigma must be >= 0")
     spans = _spans(w, k, times, dt)
 
@@ -212,27 +211,18 @@ def integrate(w: SparseWeights, k: Kernel, x0, times, dt: float, sigma: float = 
             total = total + k.self_drift(p)
         return total
 
-    def noise_keys(lo, n_chunk):
-        # the (NOISE, r, s) keys of replicas lo.. lo + n_chunk - 1, one
-        # (n_chunk, 2) array per global step s, hashed KEY_BATCH slots at a time
-        total, batch = sum(n_steps for n_steps, _ in spans), max(1, KEY_BATCH // n_chunk)
-        for s0 in range(0, total, batch):
-            r, s = np.meshgrid(np.arange(lo, lo + n_chunk), np.arange(s0, min(s0 + batch, total)))
-            counters = np.column_stack((r.ravel(), s.ravel()))
-            yield from seeding.philox_keys(master_seed, (seeding.NOISE,), counters).reshape(
-                *r.shape, 2)
-
+    key = seeding.stream(master_seed, seeding.NOISE).bit_generator.state["state"]["key"]
     out = np.empty((len(spans), n_rep, n, d))
     for lo in range(0, n_rep, CHUNK):
         pos = x0[lo:lo + CHUNK]
         # reused by every step of the chunk; the low-rank path needs none
         scratch = None if k.modes is not None else _drift_scratch(w, k, pos.shape[0], d)
-        keys = noise_keys(lo, pos.shape[0]) if sigma > 0 else None
+        replicas = range(lo, lo + pos.shape[0])
         s = 0
         for ti, (n_steps, h) in enumerate(spans):
             for _ in range(n_steps):
                 if sigma > 0:
-                    noise = seeding.normal_block(next(keys), (n, d))
+                    noise = seeding.normal_block(key, s, replicas, (n, d))
                     pos = pos + h * rhs(pos) + sigma * math.sqrt(h) * noise
                 else:
                     k1 = rhs(pos)

@@ -113,7 +113,10 @@ class FiberedDensity:
 def gaussian_fibers(grid: Grid1D, means, stds, weights=None) -> FiberedDensity:
     """Gaussian (or mixture) profiles per fiber, renormalized to exact unit
     mass under the midpoint rule.  1-D inputs give one single-component
-    fiber per entry; 2-D inputs are (fiber, mixture component)."""
+    fiber per entry; 2-D inputs are (fiber, mixture component).  On a
+    torus each cell takes its nearest image of every mean, the offset rule
+    of _spectrum: d - round(d / L) L for the offset d, bitwise d where
+    |d| <= L / 2."""
     means = np.asarray(means, dtype=np.float64)
     if means.ndim == 1:
         means = means[:, None]
@@ -131,7 +134,10 @@ def gaussian_fibers(grid: Grid1D, means, stds, weights=None) -> FiberedDensity:
         acc = np.zeros(grid.n_cells)
         wsum = weights[f].sum()
         for mu, s, wt in zip(means[f], stds[f], weights[f]):
-            acc += (wt / wsum) * np.exp(-0.5 * ((x - mu) / s) ** 2) / (s * math.sqrt(2 * math.pi))
+            d = x - mu
+            if grid.topology == "torus":
+                d -= grid.length * np.round(d / grid.length)
+            acc += (wt / wsum) * np.exp(-0.5 * (d / s) ** 2) / (s * math.sqrt(2 * math.pi))
         vals[f] = acc
     vals /= vals.sum(axis=1, keepdims=True) * grid.dx
     return FiberedDensity(grid=grid, values=vals)
@@ -377,6 +383,14 @@ class SolveResult:
     final: FiberedDensity = field(repr=False, default=None)
 
 
+def _output_times(output_times, t_end: float) -> list[float]:
+    """The output times sorted; each must lie in [0, t_end]."""
+    targets = sorted(float(t) for t in output_times)
+    if not all(0 <= t <= t_end + 1e-12 for t in targets):      # also rejects NaN
+        raise ValueError("output times must lie in [0, t_end]")
+    return targets
+
+
 def solve(f0: FiberedDensity, w: SparseWeights, k: Kernel, nu: float,
           t_end: float, output_times, dt: float | None = None) -> SolveResult:
     """March to t_end, returning the completed-step states nearest each
@@ -409,9 +423,7 @@ def solve(f0: FiberedDensity, w: SparseWeights, k: Kernel, nu: float,
     if not nu >= 0:
         raise ValueError("nu must be >= 0")
     _check_operands(f0.n_fibers, w, k)
-    targets = sorted(float(t) for t in output_times)
-    if not all(0 <= t <= t_end + 1e-12 for t in targets):      # also rejects NaN
-        raise ValueError("output times must lie in [0, t_end]")
+    targets = _output_times(output_times, t_end)
     g = f0.grid
     dx = g.dx
     a = w.csr()

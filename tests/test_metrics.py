@@ -424,6 +424,14 @@ class TestEstimatorGuards:
         with pytest.raises(ValueError, match="self_drift"):
             ESTIMATORS[estimator](w, k, laws, Grid1D(0.0, 2 * math.pi, 128, "torus"))
 
+    def test_snapshot_after_t_end_rejected_before_any_step(self, monkeypatch):
+        w = gen_class_permutation(16, 4, [2, 3, 4, 1])
+        laws = AgentLawSpec.spread(16, -1.0, 1.0, 0.4)
+        forbid_particle_steps(monkeypatch)
+        with pytest.raises(ValueError, match="t_end"):
+            convergence_gaps(w, linear_attraction(), laws, Grid1D(-6.0, 6.0, 128), 0.2,
+                             [0.1, 0.3], 0.05, 7, 100, 4)
+
     @pytest.mark.parametrize("how, match", [("negative", ">= 0"), ("mass", "mass")])
     def test_independence_gap_rejects_bad_fiber(self, monkeypatch, how, match):
         w, k, laws, grid, sigma, dt = GAP_CASES["line"]()
@@ -513,6 +521,15 @@ class TestIndependenceGap:
             gaps.append(r.gap)
         expected = math.sqrt(3200 / 200)
         assert expected / 3 <= gaps[0] / gaps[1] <= expected * 3
+
+    def test_torus_seam(self):
+        # initial laws across the seam of the torus: particles and fibers
+        # both wrap them onto [0, 2 pi), so after one step the gap is small
+        w = gen_class_permutation(16, 4, [2, 3, 4, 1])
+        laws = AgentLawSpec.spread(16, -1.0, 1.0, 0.4)
+        rep = independence_gap(w, kuramoto(), laws, Grid1D(0.0, 2 * math.pi, 128, "torus"),
+                               t_end=0.02, dt=0.02, master_seed=7, n_replicas=400)
+        assert rep.gap <= rep.bound + rep.tolerance
 
     def test_bound_holds_small_run(self):
         from nxmf import gen_class_permutation

@@ -428,6 +428,19 @@ class TestDeterministicStep:
         out = integrate(w, kuramoto(), one([[6.2], [0.1]]), [0.1], 0.1)
         assert np.all(out >= 0.0) and np.all(out < 2 * math.pi)
 
+    def test_torus_wraps_initial_positions(self):
+        # time-0 outputs lie on the domain; a position already on it keeps its bits
+        x0 = one([[-0.5], [0.1], [7.0]])
+        out = integrate(gen_uniform(3, 0.1), kuramoto(), x0, [0.0, 0.1], 0.1)
+        assert np.array_equal(out[0, 0, :, 0], np.mod([-0.5, 0.1, 7.0], 2 * math.pi))
+        assert out[0, 0, 1, 0] == 0.1
+
+    @pytest.mark.parametrize("dt, sigma, match", [(math.nan, 0.1, "dt"), (0.05, math.nan, "sigma")])
+    def test_nan_dt_or_sigma_rejected(self, dt, sigma, match):
+        with pytest.raises(ValueError, match=match):
+            integrate(gen_uniform(2, 1.0), linear_attraction(), one([[0.0], [1.0]]), [0.1], dt,
+                      sigma)
+
     def test_self_drift_constant_velocity(self):
         omega = np.array([[0.5], [-1.25], [2.0]])
         k = dataclasses.replace(linear_attraction(),
@@ -500,48 +513,25 @@ class TestReproducibility:
 
 class TestNoiseLayout:
     def test_increments_are_the_documented_streams(self):
-        # zero drift: each replica's path is the running sum of
-        # sigma sqrt(h) times the block of its own (NOISE, r, s) stream, over
-        # two chunks of replicas and two spans of the global step count s
+        # zero drift: each replica's path is the running sum of sigma sqrt(h)
+        # times its slot of the path-noise stream, Philox with the key of
+        # stream(seed, NOISE) and the counter (0, 0, s, r), over two chunks
+        # of replicas and two spans of the global step count s
         seed, n, d, sigma, n_rep = 29, 3, 1, 0.6, particles.CHUNK + 3
         w = SparseWeights(n, [], [], [])
         got = integrate(w, linear_attraction(), np.zeros((n_rep, n, d)), [0.1, 0.25], 0.05, sigma,
                         seed)
+        key = np.random.SeedSequence(seed, spawn_key=(seeding.NOISE,)).generate_state(2, np.uint64)
         for r in (0, 1, particles.CHUNK - 1, particles.CHUNK, n_rep - 1):
             x, s = np.zeros((n, d)), 0
             for ti, (t0, t1, n_steps) in enumerate([(0.0, 0.1, 2), (0.1, 0.25, 3)]):
                 h = (t1 - t0) / n_steps
                 for _ in range(n_steps):
-                    ss = np.random.SeedSequence(seed, spawn_key=(seeding.NOISE, r, s))
-                    z = np.random.Generator(np.random.Philox(ss)).standard_normal((n, d))
+                    bit_gen = np.random.Philox(key=key, counter=[0, 0, s, r])
+                    z = np.random.Generator(bit_gen).standard_normal((n, d))
                     x = x + h * np.zeros((n, d)) + sigma * math.sqrt(h) * z
                     s += 1
                 assert np.array_equal(got[ti, r], x)
-
-    @pytest.mark.parametrize("master_seed", [0, 7, 2**32 - 1, 2**32, 2**64 - 1])
-    def test_batched_keys_equal_seed_sequence(self, master_seed):
-        counters = np.array([[0, 0], [0, 2**32 - 1], [2**32 - 1, 0], [2**32 - 1, 2**32 - 1]])
-        keys = seeding.philox_keys(master_seed, (seeding.NOISE,), counters)
-        for (r, s), key in zip(counters, keys):
-            ss = np.random.SeedSequence(master_seed, spawn_key=(seeding.NOISE, int(r), int(s)))
-            assert np.array_equal(key, ss.generate_state(2, np.uint64))
-        blocks = seeding.normal_block(keys, (4, 2))
-        for (r, s), block in zip(counters, blocks):
-            ref = seeding.stream(master_seed, seeding.NOISE, int(r), int(s)).standard_normal((4, 2))
-            assert np.array_equal(block, ref)
-
-    @pytest.mark.parametrize("bad", [-1, 2**32])
-    def test_batched_keys_reject_counters_out_of_range(self, bad):
-        with pytest.raises(ValueError, match="counters"):
-            seeding.philox_keys(7, (seeding.NOISE,), [[0, 1], [bad, 0]])
-
-    def test_key_batches_do_not_change_bits(self, rng, monkeypatch):
-        w = random_sparse_weights(rng, 5)
-        x0 = rng.standard_normal((70, 5, 1))
-        whole = integrate(w, linear_attraction(), x0, [0.1, 0.2], 0.05, 0.4, 3)
-        monkeypatch.setattr(particles, "KEY_BATCH", 1)
-        assert np.array_equal(integrate(w, linear_attraction(), x0, [0.1, 0.2], 0.05, 0.4, 3),
-                              whole)
 
     @pytest.mark.parametrize("name", ["linear_attraction", "kuramoto"])
     def test_path_noise_agent_count_stable(self, rng, name):

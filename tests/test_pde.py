@@ -771,6 +771,25 @@ class TestMarginal:
         assert np.abs(marginal(f) - f.values[0]).max() <= 1e-15 * f.values.max()
 
 
+class TestGaussianFibers:
+    def test_torus_takes_nearest_image(self):
+        # a mean and the same mean one period on give the same fiber, and a
+        # mean at the seam puts equal mass on both ends of the domain
+        g = Grid1D(0.0, 2 * math.pi, 128, "torus")
+        mu = np.array([0.0, 1.0, 2.5, 5.0, 6.0])
+        near, far = (gaussian_fibers(g, m, np.full(5, 0.4)).values for m in (mu, mu + g.length))
+        assert np.allclose(near, far, rtol=1e-12, atol=1e-12)
+        assert np.allclose(near[0, :64], near[0, :63:-1], rtol=1e-12)
+
+    def test_line_and_near_cells_keep_their_bits(self):
+        # offsets within half a period: the Gaussian of the plain offset x - mu
+        x = Grid1D(0.0, 2 * math.pi, 64, "torus").centers()
+        for g in (Grid1D(0.0, 2 * math.pi, 64), Grid1D(0.0, 2 * math.pi, 64, "torus")):
+            vals = np.exp(-0.5 * ((x - math.pi) / 0.5) ** 2) / (0.5 * math.sqrt(2 * math.pi))
+            vals /= vals.sum() * g.dx
+            assert np.array_equal(gaussian_fibers(g, [math.pi], [0.5]).values[0], vals)
+
+
 class TestFiberedDensity:
     def test_negative_rejected(self):
         g = Grid1D(-1, 1, 16)
