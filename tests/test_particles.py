@@ -533,6 +533,26 @@ class TestNoiseLayout:
                     s += 1
                 assert np.array_equal(got[ti, r], x)
 
+    def test_normal_block_slots_are_plain_philox(self):
+        # unordered, gapped replicas and an odd block size: each block is its
+        # slot's first draw, so nothing buffered by one slot leaks into the next
+        key = seeding.stream(5, seeding.NOISE).bit_generator.state["state"]["key"]
+        step, replicas, shape = 7, [3, 0, 41, 2], (3, 1)
+        got = seeding.normal_block(key, step, replicas, shape)
+        assert got.shape == (len(replicas), *shape)
+        for block, r in zip(got, replicas):
+            bit_gen = np.random.Philox(key=key, counter=[0, 0, step, r])
+            assert np.array_equal(block, np.random.Generator(bit_gen).standard_normal(shape))
+        # step and replica sit in different counter words: swapping them moves the slot
+        assert not np.array_equal(seeding.normal_block(key, 2, [7], shape)[0], got[3])
+
+    def test_normal_block_rows_extend(self):
+        # growing the leading dimension of shape keeps the earlier rows bitwise
+        key = seeding.stream(5, seeding.NOISE).bit_generator.state["state"]["key"]
+        small = seeding.normal_block(key, 4, [0, 9], (5, 2))
+        large = seeding.normal_block(key, 4, [0, 9], (8, 2))
+        assert np.array_equal(large[:, :5], small)
+
     @pytest.mark.parametrize("name", ["linear_attraction", "kuramoto"])
     def test_path_noise_agent_count_stable(self, rng, name):
         # k uncoupled agents appended (zero rows and columns): under path
