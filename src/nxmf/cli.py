@@ -26,9 +26,9 @@ from .config import SEED_MAX, ExperimentConfig, canonical_json, check_number
 from .metrics import GapReport, convergence_gaps
 from .observables import (
     LatticeBudgetError,
-    _residual,
     hierarchy,
     hierarchy_norm,
+    hierarchy_residual,
     lambda_admissible,
     tau,
 )
@@ -245,8 +245,8 @@ def cmd_observe(cfg: ExperimentConfig, em: Emitter, seed: int):
             if order > n_max:
                 continue
             for t in enumerate_trees(order):
-                rep = _residual(t, w, res.snapshots, cfg.kernel, nu=cfg.nu,
-                                tau1=h.observables[t].values, vel=vel)
+                rep = hierarchy_residual(t, w, res.snapshots, cfg.kernel, nu=cfg.nu,
+                                         tau1=h.observables[t].values, vel=vel)
                 rows.append((t.to_text(), order, rep.value, rep.dt, rep.dx))
         em.write_csv("hierarchy_residuals.csv", ["tree", "order", "l1_residual", "dt", "dx"],
                      list(zip(*rows)))

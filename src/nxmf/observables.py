@@ -269,7 +269,7 @@ def _central_lap(arr: np.ndarray, axis: int, dx: float, periodic: bool) -> np.nd
 
 
 def hierarchy_residual(t: LabeledTree, w: SparseWeights, f_series, k: Kernel,
-                       nu: float = 0.0) -> ResidualReport:
+                       nu: float = 0.0, *, tau1=None, vel=None) -> ResidualReport:
     """Defect of the observable evolution equation on computed snapshots.
 
         r = d/dt tau(T) + sum_i d/dx_i [ int K(x_i - z) tau(T+i)(..., z) dz ]
@@ -280,15 +280,9 @@ def hierarchy_residual(t: LabeledTree, w: SparseWeights, f_series, k: Kernel,
     lattice by attaching the velocity field to vertex i (integrating the
     new leaf against K is exactly the velocity of fiber xi), so no
     order+1 lattice is ever materialized.  Returns the L1 norm of r at the
-    middle snapshot.
+    middle snapshot.  A caller that already has tau(t, w, f1).values or
+    velocity(f1, w, k) of the middle snapshot f1 passes them as tau1 and vel.
     """
-    return _residual(t, w, f_series, k, nu)
-
-
-def _residual(t: LabeledTree, w: SparseWeights, f_series, k: Kernel, nu: float = 0.0,
-              tau1=None, vel=None) -> ResidualReport:
-    """hierarchy_residual, taking tau(t, w, f1).values and velocity(f1, w, k)
-    of the middle snapshot f1 as tau1 and vel when the caller has them."""
     if t.order + 1 > TAU_ORDER_CAP:
         raise ValueError(f"residual needs order + 1 <= {TAU_ORDER_CAP}")
     snaps = list(f_series)

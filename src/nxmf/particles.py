@@ -75,9 +75,10 @@ def _drift_plan(w: SparseWeights, k: Kernel) -> _DriftPlan:
             src = slot[np.where(keep, np.arange(w.nnz), t)]
             sign = np.where(keep, 1.0, -1.0)
         rows = w.rows0[keep]
-        rowsum = sp.csr_matrix((sign * w.values[keep][src], src, w._indptr),
+        rowsum = sp.csr_matrix((sign * w.values[keep][src], src, w.csr().indptr),
                                shape=(w.n_agents, rows.size))
-        plan = _DriftPlan(rows, w.cols0[keep], rowsum)
+        # the CSR's int32 columns as int64: np.take converts int32 indices on every call
+        plan = _DriftPlan(rows, w.cols0[keep].astype(np.int64), rowsum)
         setattr(w, key, plan)
     return plan
 

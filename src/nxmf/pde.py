@@ -210,13 +210,16 @@ def _check_operands(n_fibers: int, w: SparseWeights, k: Kernel):
 
 def _domain_mismatch(g: Grid1D, domain: Domain) -> tuple[str, str] | None:
     """(grid field, reason) when g is off the kernel's domain, on which the
-    particles live: another topology, or a torus whose length is not the
-    period (to a relative 1e-12).  None when g lies on it."""
+    particles live: another topology, or a torus other than [0, period)
+    (its length to a relative 1e-12).  None when g lies on it."""
     if g.topology != domain.kind:
         return "topology", f"must be {domain.kind!r}, the kernel's domain"
     if g.topology == "torus" and not math.isclose(g.length, domain.period, rel_tol=1e-12):
         return "x_max", (f"must make x_max - x_min the kernel's period {domain.period!r}, "
                          f"not {g.length!r}")
+    if g.topology == "torus" and g.x_min != 0:
+        return "x_min", (f"must be 0 on a torus: the particles wrap onto [0, period), "
+                         f"not {g.x_min!r}")
     return None
 
 

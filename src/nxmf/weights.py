@@ -35,10 +35,12 @@ __all__ = [
 class SparseWeights:
     """Immutable sparse N x N weight matrix with 1-based external indices.
 
-    Entries are stored sorted by (row, col); duplicates are rejected.
+    The storage is one scipy CSR matrix, entries sorted by (row, col) with
+    duplicates rejected.  cols0, values and the row pointer are read-only
+    views of its indices, data and indptr; rows0 is the row of every entry.
     """
 
-    def __init__(self, n_agents, rows, cols, vals, _validated=False):
+    def __init__(self, n_agents, rows, cols, vals):
         n = int(n_agents)
         if n < 1:
             raise ValueError("n_agents must be >= 1")
@@ -47,29 +49,29 @@ class SparseWeights:
         vals = np.asarray(vals, dtype=np.float64)
         if not (rows.shape == cols.shape == vals.shape) or rows.ndim != 1:
             raise ValueError("rows, cols, vals must be 1-D arrays of equal length")
-        if not _validated:
-            if rows.size:
-                if rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n:
-                    raise ValueError("entry index out of range")
-                if not np.all(np.isfinite(vals)):
-                    raise ValueError("weights must be finite")
-            order = np.lexsort((cols, rows))
+        if rows.size and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n):
+            raise ValueError("entry index out of range")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("weights must be finite")
+        key = rows * n
+        key += cols
+        if np.all(key[1:] > key[:-1]):          # already in (row, col) order: no sort
+            rows = rows.copy()
+        else:
+            order = np.argsort(key)
+            key = key[order]
+            if np.any(key[1:] == key[:-1]):
+                raise ValueError("duplicate (i, j) entry")
             rows, cols, vals = rows[order], cols[order], vals[order]
-            if rows.size > 1:
-                same = (np.diff(rows) == 0) & (np.diff(cols) == 0)
-                if same.any():
-                    raise ValueError("duplicate (i, j) entry")
+        del key                                 # freed before the CSR's copies
         self.n_agents = n
         self._rows = rows
-        self._cols = cols
-        self._vals = vals
-        for a in (self._rows, self._cols, self._vals):
+        # copy=True: the caller's cols and vals stay theirs
+        self._csr = sp.csr_matrix((vals, cols, np.searchsorted(rows, np.arange(n + 1))),
+                                  shape=(n, n), copy=True)
+        self._csr.has_canonical_format = True   # sorted, no duplicates: scipy never rewrites it
+        for a in (rows, self._csr.data, self._csr.indices, self._csr.indptr):
             a.setflags(write=False)
-        # CSR row pointer over the (row, col)-sorted entries
-        self._indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(self._indptr, rows + 1, 1)
-        np.cumsum(self._indptr, out=self._indptr)
-        self._csr = None
         self._scaling = None
         self._transpose = None     # transpose_index(): None until computed, False if asymmetric
 
@@ -87,7 +89,7 @@ class SparseWeights:
 
     @property
     def nnz(self) -> int:
-        return int(self._vals.size)
+        return int(self._rows.size)
 
     @property
     def rows0(self) -> np.ndarray:
@@ -96,22 +98,19 @@ class SparseWeights:
 
     @property
     def cols0(self) -> np.ndarray:
-        return self._cols
+        return self._csr.indices
 
     @property
     def values(self) -> np.ndarray:
-        return self._vals
+        return self._csr.data
 
     def entries(self):
         """Iterate 1-based (i, j, w) in storage order."""
-        for r, c, v in zip(self._rows, self._cols, self._vals):
+        for r, c, v in zip(self._rows, self.cols0, self.values):
             yield int(r) + 1, int(c) + 1, float(v)
 
     def csr(self) -> sp.csr_matrix:
-        if self._csr is None:
-            self._csr = sp.csr_matrix(
-                (self._vals, (self._rows, self._cols)), shape=(self.n_agents, self.n_agents)
-            )
+        """The stored matrix itself, read-only."""
         return self._csr
 
     def transpose_index(self) -> np.ndarray | None:
@@ -126,19 +125,20 @@ class SparseWeights:
         return None if self._transpose is False else self._transpose
 
     def _find_transpose(self):
-        rows, cols, vals, nnz = self._rows, self._cols, self._vals, self.nnz
+        rows, cols, vals, nnz = self._rows, self.cols0, self.values, self.nnz
         if nnz == 0:
             return np.zeros(0, dtype=np.int64)
         # i is the first non-empty row.  In a symmetric matrix no column is
         # smaller than i either, so each (j, i) must lead its row j.
         i = rows[0]
-        js = cols[:self._indptr[i + 1]]
-        lead = np.minimum(self._indptr[js], nnz - 1)
+        js = cols[:self._csr.indptr[i + 1]]
+        lead = np.minimum(self._csr.indptr[js], nnz - 1)
         if not (np.array_equal(rows[lead], js) and np.all(cols[lead] == i)
                 and np.array_equal(vals[lead], vals[:js.size])):
             return False
-        key = rows * self.n_agents + cols              # ascending: entries are (row, col)-sorted
-        tkey = cols * self.n_agents + rows
+        n = np.int64(self.n_agents)                    # cols may be int32: keys need int64
+        key = rows * n + cols                          # ascending: entries are (row, col)-sorted
+        tkey = cols * n + rows
         pos = np.minimum(np.searchsorted(key, tkey), nnz - 1)
         if not (np.array_equal(key[pos], tkey)
                 and np.array_equal(vals[pos].view(np.uint64), vals.view(np.uint64))):
@@ -148,7 +148,7 @@ class SparseWeights:
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n_agents, self.n_agents))
-        a[self._rows, self._cols] = self._vals
+        a[self._rows, self.cols0] = self.values
         return a
 
     def permuted(self, perm: np.ndarray) -> "SparseWeights":
@@ -161,15 +161,15 @@ class SparseWeights:
             raise ValueError("perm must be a permutation of 0..n_agents-1")
         inv = np.empty_like(perm)
         inv[perm] = np.arange(self.n_agents)
-        return SparseWeights(self.n_agents, inv[self._rows], inv[self._cols], self._vals)
+        return SparseWeights(self.n_agents, inv[self._rows], inv[self.cols0], self.values)
 
     def __eq__(self, other):
         return (
             isinstance(other, SparseWeights)
             and self.n_agents == other.n_agents
-            and np.array_equal(self._rows, other._rows)
-            and np.array_equal(self._cols, other._cols)
-            and np.array_equal(self._vals, other._vals)
+            and np.array_equal(self.rows0, other.rows0)
+            and np.array_equal(self.cols0, other.cols0)
+            and np.array_equal(self.values, other.values)
         )
 
     def __repr__(self):
@@ -206,7 +206,7 @@ def check_scaling(w: SparseWeights) -> ScalingReport:
     by_col = np.argsort(w.cols0, kind="stable")
     col_ptr = np.searchsorted(w.cols0[by_col], np.arange(n + 1))
     w._scaling = ScalingReport(
-        max_row_abs_sum=_max_fsum(absvals, w._indptr),
+        max_row_abs_sum=_max_fsum(absvals, w.csr().indptr),
         max_col_abs_sum=_max_fsum(absvals[by_col], col_ptr),
         max_entry_abs=float(absvals.max(initial=0.0)),
         density=w.nnz / float(n * n),
@@ -224,7 +224,7 @@ def gen_uniform(n: int, w_bar: float, include_diagonal: bool = False) -> SparseW
         keep = ii != jj
         ii, jj = ii[keep], jj[keep]
     vals = np.full(ii.size, w_bar / n)
-    return SparseWeights(n, ii, jj, vals, _validated=True)
+    return SparseWeights(n, ii, jj, vals)
 
 
 def gen_class_permutation(n: int, m: int, perm) -> SparseWeights:
@@ -245,7 +245,7 @@ def gen_class_permutation(n: int, m: int, perm) -> SparseWeights:
     starts = np.asarray([(perm[k] - 1) * m for k in range(n_classes)])
     cols = (np.repeat(starts, m * m).reshape(n, m) + np.arange(m)).ravel()
     vals = np.full(rows.size, 1.0 / m)
-    return SparseWeights(n, rows, cols, vals, _validated=True)
+    return SparseWeights(n, rows, cols, vals)
 
 
 def gen_from_graphon(n, g, rng_seed=None, mode="midpoint"):
@@ -268,13 +268,13 @@ def gen_from_graphon(n, g, rng_seed=None, mode="midpoint"):
     if mode == "midpoint":
         vals = gv / n
         ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        return SparseWeights(n, ii.ravel(), jj.ravel(), vals.ravel(), _validated=True)
+        return SparseWeights(n, ii.ravel(), jj.ravel(), vals.ravel())
     if mode == "bernoulli":
         rng = stream(0 if rng_seed is None else rng_seed, GRAPH)
         p = np.clip(gv, 0.0, 1.0)
         adj = rng.random((n, n)) < p
         ii, jj = np.nonzero(adj)
-        return SparseWeights(n, ii, jj, np.full(ii.size, 1.0 / n), _validated=True)
+        return SparseWeights(n, ii, jj, np.full(ii.size, 1.0 / n))
     raise ValueError(f"unknown sampling mode {mode!r}")
 
 

@@ -114,7 +114,7 @@ def indicator_drift_reference(w, k, positions):
         src = slot[np.where(keep, np.arange(w.nnz), t)]
         sign = np.where(keep, 1.0, -1.0)
     rows, cols, vals = w.rows0[keep], w.cols0[keep], w.values[keep]
-    indicator = sp.csr_matrix((sign, src, w._indptr), shape=(n, rows.size))
+    indicator = sp.csr_matrix((sign, src, w.csr().indptr), shape=(n, rows.size))
     kv = k.eval(by_agent[rows] - by_agent[cols]) * vals[:, None, None]
     return (indicator @ kv.reshape(-1, r * d)).reshape(n, r, d).transpose(1, 0, 2)
 

@@ -239,6 +239,14 @@ class TestConfig:
             ExperimentConfig.from_dict(mutate(path, value))
         assert exc.value.path == "grid.topology"
 
+    def test_shifted_torus_rejected(self):
+        # the period is right, but the particles wrap onto [0, 2 pi)
+        doc = copy.deepcopy(TORUS)
+        doc["grid"].update(x_min=math.pi, x_max=3 * math.pi)
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(doc)
+        assert exc.value.path == "grid.x_min"
+
     def test_torus_loads(self):
         cfg = ExperimentConfig.from_dict(copy.deepcopy(TORUS))
         assert (cfg.kernel.name, cfg.grid.topology) == ("kuramoto", "torus")

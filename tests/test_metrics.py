@@ -392,6 +392,8 @@ OFF_DOMAIN = {
     "torus_for_line": (linear_attraction, Grid1D(0.0, 2 * math.pi, 128, "torus"),
                        "grid.topology"),
     "torus_not_period": (kuramoto, Grid1D(0.0, 6.0, 128, "torus"), "grid.x_max"),
+    # the particles wrap onto [0, 2 pi), the fibers would live on [pi, 3 pi)
+    "torus_shifted": (kuramoto, Grid1D(math.pi, 3 * math.pi, 128, "torus"), "grid.x_min"),
 }
 
 

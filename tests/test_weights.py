@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nxmf import (
     ScalingReport,
@@ -247,6 +248,8 @@ class TestStorage:
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError):
             SparseWeights.from_entries(3, [(1, 2, 0.5), (1, 2, 0.25)])
+        with pytest.raises(ValueError, match="duplicate"):       # first and last
+            SparseWeights.from_entries(3, [(1, 2, 0.5), (3, 1, 0.5), (2, 2, 0.5), (1, 2, 0.25)])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -274,6 +277,58 @@ class TestStorage:
         w = random_sparse_weights(rng, 5)
         with pytest.raises(ValueError):
             w.values[0] = 99.0
+
+
+class TestConstructor:
+    """Every SparseWeights, generated or given, goes through one constructor."""
+
+    def test_generators_reject_non_finite_weights(self):
+        with pytest.raises(ValueError, match="finite"):
+            gen_uniform(4, math.nan)
+        with np.errstate(divide="ignore"), pytest.raises(ValueError, match="finite"):
+            gen_from_graphon(4, lambda x, z: 1.0 / (x - z))
+
+    def test_entry_order_does_not_matter(self, rng):
+        w = random_sparse_weights(rng, 17)
+        rows, cols, vals = w.rows0, w.cols0, w.values
+        shuffle = rng.permutation(w.nnz)
+        shuffled = SparseWeights(17, rows[shuffle], cols[shuffle], vals[shuffle])
+        assert shuffled == w
+        assert np.array_equal(shuffled.rows0, w.rows0)
+        # the direct CSR build holds what scipy's COO conversion gives
+        coo = sp.csr_matrix((vals[shuffle], (rows[shuffle], cols[shuffle])), shape=(17, 17))
+        for a in (w.csr(), shuffled.csr()):
+            assert np.array_equal(a.data, coo.data)
+            assert np.array_equal(a.indices, coo.indices)
+            assert np.array_equal(a.indptr, coo.indptr)
+
+    def test_storage_is_the_csr(self, rng):
+        w = random_sparse_weights(rng, 11)
+        a = w.csr()
+        assert np.shares_memory(w.values, a.data)
+        assert np.shares_memory(w.cols0, a.indices)
+        for arr in (w.rows0, w.cols0, w.values, a.data, a.indices, a.indptr):
+            assert not arr.flags.writeable
+
+    def test_caller_arrays_stay_theirs(self, rng):
+        w0 = random_sparse_weights(rng, 9)
+        rows, cols, vals = w0.rows0.copy(), w0.cols0.astype(np.int64), w0.values.copy()
+        w = SparseWeights(9, rows, cols, vals)
+        for arr in (rows, cols, vals):
+            assert arr.flags.writeable
+            assert not any(np.shares_memory(arr, s) for s in (w.rows0, w.cols0, w.values))
+        vals[:] = 7.0
+        assert w == w0
+
+    def test_transpose_found_past_int32_keys(self):
+        # col * n + row exceeds 2**31 here: the keys must be int64
+        n = 50_000
+        i, j = np.array([0, 45_000, 49_999]), np.array([49_999, 49_000, 49_999])
+        w = SparseWeights(n, np.concatenate((i, j[:2])), np.concatenate((j, i[:2])),
+                          [0.5, 0.25, 1.0, 0.5, 0.25])
+        t = w.transpose_index()
+        assert t is not None
+        assert np.array_equal(w.rows0[t], w.cols0) and np.array_equal(w.cols0[t], w.rows0)
 
 
 @pytest.mark.parametrize("module", ["nxmf.weights", "nxmf.rearrange"])
