@@ -9,7 +9,8 @@ the kernel:
   evaluated per entry and the transcendental work is O(N R), not O(nnz R);
 - every other kernel takes the entry path, which evaluates K on each stored
   weight entry (each unordered pair once for a symmetric w and an odd K),
-  O(nnz R).
+  O(nnz R).  Its plan and buffers are one private record, built by
+  `integrate` once per chunk of replicas; nothing is cached on w.
 """
 
 from __future__ import annotations
@@ -42,15 +43,21 @@ def _wrap(positions: np.ndarray, k: Kernel) -> np.ndarray:
     return positions
 
 
-class _DriftPlan(NamedTuple):
+class _Drift(NamedTuple):
+    """The entry path's plan for one w and K, with buffers for R replicas."""
+
     rows: np.ndarray           # (n_eval,) row of each entry K is evaluated on
-    cols: np.ndarray
+    cols: np.ndarray           # (n_eval,) its column, int64
     rowsum: sp.csr_matrix      # (N, n_eval) sign * w_ij of each stored entry
+    kv: np.ndarray             # (n_eval, R, d) K of every plan entry
+    xi: np.ndarray             # (block, R, d) one block of gathered positions
+    xj: np.ndarray             # (block, R, d)
 
 
-def _drift_plan(w: SparseWeights, k: Kernel) -> _DriftPlan:
-    """The entries drift_batch evaluates K on, and the matrix that weights
-    their values and sums them into rows.
+def _drift(w: SparseWeights, k: Kernel, n_rep: int, d: int) -> _Drift:
+    """The entries drift_batch evaluates K on, the matrix that weights
+    their values and sums them into rows, and the buffers for n_rep
+    replicas of dimension d.
 
     For a symmetric w and an odd K only the entries with row <= col are
     evaluated, and entry (i, j) below the diagonal takes minus the value of
@@ -60,49 +67,23 @@ def _drift_plan(w: SparseWeights, k: Kernel) -> _DriftPlan:
     ones), so every row adds (sign * w) * K, bitwise sign * (w * K), in the
     same order whether or not pairs are folded and however the right-hand
     side is batched.  That keeps results bitwise stable across both.
-    Cached on w, one plan per case.
+    A block holds DRIFT_BLOCK // (n_rep d) entries.
     """
     t = w.transpose_index() if k.odd else None
-    key = "_entry_plan" if t is None else "_pair_plan"
-    plan = getattr(w, key, None)
-    if plan is None:
-        if t is None:
-            keep = slice(None)
-            src, sign = np.arange(w.nnz), np.ones(w.nnz)
-        else:
-            keep = w.rows0 <= w.cols0
-            slot = np.cumsum(keep) - 1          # compact position of each kept entry
-            src = slot[np.where(keep, np.arange(w.nnz), t)]
-            sign = np.where(keep, 1.0, -1.0)
-        rows = w.rows0[keep]
-        rowsum = sp.csr_matrix((sign * w.values[keep][src], src, w.csr().indptr),
-                               shape=(w.n_agents, rows.size))
-        # the CSR's int32 columns as int64: np.take converts int32 indices on every call
-        plan = _DriftPlan(rows, w.cols0[keep].astype(np.int64), rowsum)
-        setattr(w, key, plan)
-    return plan
-
-
-def _drift_scratch(w, k, n_rep, d):
-    """Buffers for drift_batch on n_rep replicas of dimension d: K of every
-    plan entry, (n_eval, n_rep, d), and two (block, n_rep, d) buffers for
-    one block of gathered positions."""
-    n_eval = _drift_plan(w, k).rows.size
-    block = max(1, min(n_eval, DRIFT_BLOCK // (n_rep * d)))
-    return np.empty((n_eval, n_rep, d)), np.empty((block, n_rep, d)), np.empty((block, n_rep, d))
-
-
-def _eval_block(k, by_agent, rows, cols, out, xi, xj):
-    """out = K(x_rows - x_cols) for one block of plan entries, with xi and
-    xj (the block's length) as scratch."""
-    # mode="clip" lets take write straight into out; "raise" buffers it
-    np.take(by_agent, rows, axis=0, out=xi, mode="clip")
-    np.take(by_agent, cols, axis=0, out=xj, mode="clip")
-    np.subtract(xi, xj, out=xi)
-    if k.eval_into is not None:
-        k.eval_into(xi, out, xj)
+    if t is None:
+        keep, src, sign = slice(None), np.arange(w.nnz), 1.0
     else:
-        out[...] = k.eval(xi)
+        keep = w.rows0 <= w.cols0
+        slot = np.cumsum(keep) - 1          # compact position of each kept entry
+        src = slot[np.where(keep, np.arange(w.nnz), t)]
+        sign = np.where(keep, 1.0, -1.0)
+    rows = w.rows0[keep]
+    rowsum = sp.csr_matrix((sign * w.values[keep][src], src, w.csr().indptr),
+                           shape=(w.n_agents, rows.size))
+    block = max(1, min(rows.size, DRIFT_BLOCK // (n_rep * d)))
+    # the CSR's int32 columns as int64: np.take converts int32 indices on every call
+    return _Drift(rows, w.cols0[keep].astype(np.int64), rowsum, np.empty((rows.size, n_rep, d)),
+                  np.empty((block, n_rep, d)), np.empty((block, n_rep, d)))
 
 
 def drift_batch(w, k, positions, scratch=None):
@@ -121,9 +102,9 @@ def drift_batch(w, k, positions, scratch=None):
     transpose.  Each step is elementwise per entry, so the blocking does
     not change the result.
     For a symmetric w and an odd K each unordered pair is evaluated once,
-    with results bitwise equal to evaluating every entry (see _drift_plan).
-    scratch, from _drift_scratch for the same R, supplies the buffers;
-    without it they are allocated per call.
+    with results bitwise equal to evaluating every entry (see _drift).
+    scratch, from _drift(w, k, R, d), holds the plan and the buffers and
+    is reused across calls; without it both are built per call.
     """
     r, n, d = positions.shape
     by_agent = np.ascontiguousarray(positions.transpose(1, 0, 2))
@@ -134,14 +115,20 @@ def drift_batch(w, k, positions, scratch=None):
             term = a_r(x) * (csr @ b_r(x))
             total = term if total is None else total + term
         return total.reshape(n, r, d).transpose(1, 0, 2)
-    plan = _drift_plan(w, k)
-    kv, a, b = _drift_scratch(w, k, r, d) if scratch is None else scratch
-    n_eval, step = plan.rows.size, a.shape[0]
+    plan = _drift(w, k, r, d) if scratch is None else scratch
+    n_eval, step = plan.rows.size, plan.xi.shape[0]
     for lo in range(0, n_eval, step):
         hi = lo + step
-        _eval_block(k, by_agent, plan.rows[lo:hi], plan.cols[lo:hi], kv[lo:hi],
-                    a[:n_eval - lo], b[:n_eval - lo])
-    return (plan.rowsum @ kv.reshape(-1, r * d)).reshape(n, r, d).transpose(1, 0, 2)
+        out, xi, xj = plan.kv[lo:hi], plan.xi[:n_eval - lo], plan.xj[:n_eval - lo]
+        # mode="clip" lets take write straight into xi; "raise" buffers it
+        np.take(by_agent, plan.rows[lo:hi], axis=0, out=xi, mode="clip")
+        np.take(by_agent, plan.cols[lo:hi], axis=0, out=xj, mode="clip")
+        np.subtract(xi, xj, out=xi)
+        if k.eval_into is not None:
+            k.eval_into(xi, out, xj)
+        else:
+            out[...] = k.eval(xi)
+    return (plan.rowsum @ plan.kv.reshape(-1, r * d)).reshape(n, r, d).transpose(1, 0, 2)
 
 
 def _check_guard(w, k, dt):
@@ -217,7 +204,7 @@ def integrate(w: SparseWeights, k: Kernel, x0, times, dt: float, sigma: float = 
     for lo in range(0, n_rep, CHUNK):
         pos = x0[lo:lo + CHUNK]
         # reused by every step of the chunk; the low-rank path needs none
-        scratch = None if k.modes is not None else _drift_scratch(w, k, pos.shape[0], d)
+        scratch = None if k.modes is not None else _drift(w, k, pos.shape[0], d)
         replicas = range(lo, lo + pos.shape[0])
         s = 0
         for ti, (n_steps, h) in enumerate(spans):
@@ -236,5 +223,6 @@ def integrate(w: SparseWeights, k: Kernel, x0, times, dt: float, sigma: float = 
                 if not np.isfinite(pos).all():
                     raise StabilityError(f"non-finite particle state after step {s} (dt={h:g})")
             out[ti, lo:lo + CHUNK] = pos
+        scratch = None              # freed before the next chunk's is built
     return out
 

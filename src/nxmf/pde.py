@@ -114,9 +114,8 @@ def gaussian_fibers(grid: Grid1D, means, stds, weights=None) -> FiberedDensity:
     """Gaussian (or mixture) profiles per fiber, renormalized to exact unit
     mass under the midpoint rule.  1-D inputs give one single-component
     fiber per entry; 2-D inputs are (fiber, mixture component).  On a
-    torus each cell takes its nearest image of every mean, the offset rule
-    of _spectrum: d - round(d / L) L for the offset d, bitwise d where
-    |d| <= L / 2."""
+    torus each cell takes its nearest image of every mean (_nearest_image),
+    as _spectrum's kernel offsets do."""
     means = np.asarray(means, dtype=np.float64)
     if means.ndim == 1:
         means = means[:, None]
@@ -134,13 +133,17 @@ def gaussian_fibers(grid: Grid1D, means, stds, weights=None) -> FiberedDensity:
         acc = np.zeros(grid.n_cells)
         wsum = weights[f].sum()
         for mu, s, wt in zip(means[f], stds[f], weights[f]):
-            d = x - mu
-            if grid.topology == "torus":
-                d -= grid.length * np.round(d / grid.length)
+            d = _nearest_image(x - mu, grid) if grid.topology == "torus" else x - mu
             acc += (wt / wsum) * np.exp(-0.5 * (d / s) ** 2) / (s * math.sqrt(2 * math.pi))
         vals[f] = acc
     vals /= vals.sum(axis=1, keepdims=True) * grid.dx
     return FiberedDensity(grid=grid, values=vals)
+
+
+def _nearest_image(d: np.ndarray, g: Grid1D) -> np.ndarray:
+    """d - round(d / L) L, the image of the offset d nearest to 0 on a
+    torus of length L; d itself where |d| <= L / 2 (-0.0 becomes 0.0)."""
+    return d - g.length * np.round(d / g.length)
 
 
 def _kernel_samples(k: Kernel, offsets: np.ndarray) -> np.ndarray:
@@ -154,9 +157,7 @@ def _spectrum(g: Grid1D, k: Kernel) -> np.ndarray:
     G = g.n_cells
     dx = g.dx
     if g.topology == "torus":
-        off = np.arange(G) * dx
-        off = np.where(off > g.length / 2, off - g.length, off)
-        return np.fft.rfft(_kernel_samples(k, off))
+        return np.fft.rfft(_kernel_samples(k, _nearest_image(np.arange(G) * dx, g)))
     off = np.arange(-(G - 1), G) * dx
     return np.fft.rfft(_kernel_samples(k, off), n=2 * G)
 

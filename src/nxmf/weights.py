@@ -38,6 +38,8 @@ class SparseWeights:
     The storage is one scipy CSR matrix, entries sorted by (row, col) with
     duplicates rejected.  cols0, values and the row pointer are read-only
     views of its indices, data and indptr; rows0 is the row of every entry.
+    Only this module caches onto an instance (the scaling report and the
+    transpose index); other modules keep what they derive from it.
     """
 
     def __init__(self, n_agents, rows, cols, vals):
@@ -186,10 +188,20 @@ class ScalingReport:
     density: float
 
 
-def _max_fsum(vals: np.ndarray, indptr: np.ndarray) -> float:
-    """Largest exactly rounded sum over the slices vals[indptr[i]:indptr[i+1]]."""
-    vals, bounds = vals.tolist(), indptr.tolist()
-    return max((math.fsum(vals[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])), default=0.0)
+# entries _max_abs_fsum turns into Python floats (~32 B each) at a time
+FSUM_BLOCK = 1 << 16
+
+
+def _max_abs_fsum(vals: np.ndarray, indptr: np.ndarray) -> float:
+    """Largest exactly rounded sum of |vals| over the slices
+    vals[indptr[i]:indptr[i+1]], read FSUM_BLOCK entries (or one longer
+    slice) at a time; the result does not depend on the block."""
+    bounds, best, base, block = indptr.tolist(), 0.0, 0, []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi - base > len(block):
+            base, block = lo, np.abs(vals[lo:max(hi, lo + FSUM_BLOCK)]).tolist()
+        best = max(best, math.fsum(block[lo - base:hi - base]))
+    return best
 
 
 def check_scaling(w: SparseWeights) -> ScalingReport:
@@ -201,14 +213,11 @@ def check_scaling(w: SparseWeights) -> ScalingReport:
     """
     if w._scaling is not None:
         return w._scaling
-    n = w.n_agents
-    absvals = np.abs(w.values)
-    by_col = np.argsort(w.cols0, kind="stable")
-    col_ptr = np.searchsorted(w.cols0[by_col], np.arange(n + 1))
+    n, by_col = w.n_agents, w.csr().T.tocsr()     # the entries grouped by column
     w._scaling = ScalingReport(
-        max_row_abs_sum=_max_fsum(absvals, w.csr().indptr),
-        max_col_abs_sum=_max_fsum(absvals[by_col], col_ptr),
-        max_entry_abs=float(absvals.max(initial=0.0)),
+        max_row_abs_sum=_max_abs_fsum(w.values, w.csr().indptr),
+        max_col_abs_sum=_max_abs_fsum(by_col.data, by_col.indptr),
+        max_entry_abs=float(np.abs(w.values).max(initial=0.0)),
         density=w.nnz / float(n * n),
     )
     return w._scaling

@@ -146,8 +146,9 @@ class TestPairSymmetry:
         w = random_symmetric_weights(rng, n, density)
         k = ODD_KERNELS[name]()
         general = dataclasses.replace(k, odd=False)
-        assert particles._drift_plan(w, k).rows.size == np.count_nonzero(w.rows0 <= w.cols0)
-        assert particles._drift_plan(w, general).rows.size == w.nnz
+        assert (particles._drift(w, k, n_rep, k.dim).rows.size
+                == np.count_nonzero(w.rows0 <= w.cols0))
+        assert particles._drift(w, general, n_rep, k.dim).rows.size == w.nnz
         x = rng.uniform(0.0, 2 * math.pi, (n_rep, n, k.dim))
         assert np.array_equal(drift_batch(w, k, x), drift_batch(w, general, x))
         assert np.array_equal(integrate(w, k, x, [0.05, 0.1], 0.05, sigma, seed),
@@ -180,7 +181,7 @@ class TestPairSymmetry:
         assert w.transpose_index() is not None
         assert bent.transpose_index() is None
         k = linear_attraction()
-        assert particles._drift_plan(bent, k).rows.size == bent.nnz
+        assert particles._drift(bent, k, 3, 1).rows.size == bent.nnz
         x = rng.standard_normal((3, 12, 1))
         assert np.array_equal(drift_batch(bent, k, x),
                               drift_batch(bent, dataclasses.replace(k, odd=False), x))
@@ -190,13 +191,23 @@ class TestPairSymmetry:
         w = random_symmetric_weights(rng, 10, 0.5)
         k = linear_attraction()
         x = rng.standard_normal((5, 10, 1))
-        scratch = particles._drift_scratch(w, k, 5, 1)
-        n_eval = particles._drift_plan(w, k).rows.size
+        scratch = particles._drift(w, k, 5, 1)
+        n_eval = scratch.rows.size
         assert n_eval > 3
-        assert [s.shape for s in scratch] == [(n_eval, 5, 1), (3, 5, 1), (3, 5, 1)]
-        first = drift_batch(w, k, x, scratch)
-        assert np.array_equal(drift_batch(w, k, 2 * x, scratch), drift_batch(w, k, 2 * x))
+        assert ([scratch.kv.shape, scratch.xi.shape, scratch.xj.shape]
+                == [(n_eval, 5, 1), (3, 5, 1), (3, 5, 1)])
+        with mock.patch.object(particles, "_drift", side_effect=AssertionError):
+            first = drift_batch(w, k, x, scratch)
+            again = drift_batch(w, k, 2 * x, scratch)
+        assert np.array_equal(again, drift_batch(w, k, 2 * x))
         assert np.array_equal(first, drift_batch(w, k, x))
+
+    def test_integrate_builds_one_drift_per_chunk(self, rng):
+        w = random_symmetric_weights(rng, 10, 0.5)
+        x = rng.standard_normal((particles.CHUNK + 6, 10, 1))
+        with mock.patch.object(particles, "_drift", wraps=particles._drift) as build:
+            integrate(w, linear_attraction(), x, [0.05, 0.1], 0.05)
+        assert [c.args[2] for c in build.call_args_list] == [particles.CHUNK, 6]
 
 
 class TestDriftBlocks:
@@ -208,13 +219,13 @@ class TestDriftBlocks:
         # leaves a short last block), and the default, one block here
         w = random_symmetric_weights(rng, 12, 0.6)
         k = dataclasses.replace(ODD_KERNELS[name](), odd=odd)
-        rows = particles._drift_plan(w, k).rows
+        rows = particles._drift(w, k, n_rep, k.dim).rows
         assert rows.size % 5 and np.any(rows[4:-1:5] == rows[5::5])
         x = rng.uniform(0.0, 2 * math.pi, (n_rep, 12, k.dim))
         runs = []
         for budget, step in [(1, 1), (5 * n_rep * k.dim, 5), (particles.DRIFT_BLOCK, rows.size)]:
             monkeypatch.setattr(particles, "DRIFT_BLOCK", budget)
-            assert particles._drift_scratch(w, k, n_rep, k.dim)[1].shape[0] == step
+            assert particles._drift(w, k, n_rep, k.dim).xi.shape[0] == step
             runs.append([drift_batch(w, k, x)] + [integrate(w, k, x, [0.05, 0.1], 0.05, sigma, 11)
                                                   for sigma in (0.0, 0.3)])
         for run in runs[:2]:
@@ -248,7 +259,7 @@ class TestWeightedRowSum:
             monkeypatch.setattr(particles, "DRIFT_BLOCK", budget)
         w = (random_symmetric_weights if symmetric else random_sparse_weights)(rng, 23, 0.4)
         k = HOOK_KERNELS[name]()
-        n_eval = particles._drift_plan(w, k).rows.size
+        n_eval = particles._drift(w, k, n_rep, k.dim).rows.size
         assert (n_eval < w.nnz) == symmetric
         x = spread_positions(rng, n_rep, 23, k.dim)
         got = drift_batch(w, k, x)
@@ -304,9 +315,28 @@ class TestLowRankDrift:
 
     def test_integrate_allocates_no_scratch(self, rng):
         w = random_sparse_weights(rng, 6)
-        with mock.patch.object(particles, "_drift_scratch", side_effect=AssertionError):
+        with mock.patch.object(particles, "_drift", side_effect=AssertionError):
             out = integrate(w, kuramoto(), rng.uniform(0.0, 6.0, (3, 6, 1)), [0.1], 0.05, 0.3, 2)
         assert np.all((out >= 0.0) & (out < 2 * math.pi))
+
+
+@pytest.mark.parametrize("perm,make", [
+    ([2, 3, 4, 1], linear_attraction), ([1, 2, 3, 4], linear_attraction), ([2, 3, 4, 1], kuramoto),
+], ids=["entry", "pair", "low_rank"])
+def test_weights_left_untouched(rng, perm, make):
+    # the drift keeps its plan with the caller: after weights.py fills its
+    # own caches, neither integrate nor drift_batch writes an attribute of w
+    w, k = gen_class_permutation(16, 4, perm), make()
+    check_scaling(w)
+    w.transpose_index()
+    before = dict(vars(w))
+    x = rng.uniform(0.0, 2 * math.pi, (3, 16, 1))
+    integrate(w, k, x, [0.05, 0.1], 0.05, 0.3, 5)
+    assert vars(w).keys() == before.keys()
+    assert all(vars(w)[a] is v for a, v in before.items())
+    drift_batch(w, k, x)
+    assert vars(w).keys() == before.keys()
+    assert all(vars(w)[a] is v for a, v in before.items())
 
 
 class TestOddKernel:

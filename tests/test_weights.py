@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from nxmf import (
     load_edge_list,
     save_edge_list,
 )
+from nxmf import weights
 from conftest import random_sparse_weights, random_symmetric_weights
 
 
@@ -51,6 +53,27 @@ class TestCheckScaling:
         w = SparseWeights(6, [0, 0, 4], [2, 5, 2], [-0.5, 0.25, -0.125])
         assert naive_scaling(w) == ScalingReport(0.75, 0.625, 0.5, 3 / 36)
         assert check_scaling(w) == naive_scaling(w)
+
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    def test_fsum_blocks_do_not_change_report(self, rng, monkeypatch, block):
+        # blocks of one entry, of a few entries (most rows longer than a
+        # block), and of several whole rows with a short last block
+        monkeypatch.setattr(weights, "FSUM_BLOCK", block)
+        for density in (0.0, 0.1, 0.5, 1.0):
+            w = random_sparse_weights(rng, 30, density=density)
+            assert check_scaling(w) == naive_scaling(w)
+
+    def test_bounded_memory(self):
+        # the simulate_large graph, nnz 262,144: at ~32 B per Python float
+        # the values stay under the bound only if read a block at a time
+        w = gen_class_permutation(4096, 64, cyclic_perm(64))
+        tracemalloc.start()
+        try:
+            check_scaling(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     def test_second_call_returns_cached_report(self, rng):
         w = random_sparse_weights(rng, 20)
