@@ -9,8 +9,10 @@ the kernel:
   evaluated per entry and the transcendental work is O(N R), not O(nnz R);
 - every other kernel takes the entry path, which evaluates K on each stored
   weight entry (each unordered pair once for a symmetric w and an odd K),
-  O(nnz R).  Its plan and buffers are one private record, built by
-  `integrate` once per chunk of replicas; nothing is cached on w.
+  O(nnz R).  K is evaluated one block of entries at a time and summed into
+  rows at once, so its memory is O(nnz + block), not O(nnz R).  Its plan
+  and buffers are one private record, built by `integrate` once per chunk
+  of replicas; nothing is cached on w.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
+# Y += A X for a CSR A, the kernel behind scipy's `csr @ x`; the indicator
+# oracle test pins its bits to the public product
+from scipy.sparse import _sparsetools
 
 from . import seeding
 from .kernels import Kernel
@@ -48,42 +52,91 @@ class _Drift(NamedTuple):
 
     rows: np.ndarray           # (n_eval,) row of each entry K is evaluated on
     cols: np.ndarray           # (n_eval,) its column, int64
-    rowsum: sp.csr_matrix      # (N, n_eval) sign * w_ij of each stored entry
-    kv: np.ndarray             # (n_eval, R, d) K of every plan entry
+    blocks: list               # per block: (first entry, target rows, ptr, src, coef)
     xi: np.ndarray             # (block, R, d) one block of gathered positions
     xj: np.ndarray             # (block, R, d)
+    kv: np.ndarray             # (block, R, d) K of one block
 
 
 def _drift(w: SparseWeights, k: Kernel, n_rep: int, d: int) -> _Drift:
-    """The entries drift_batch evaluates K on, the matrix that weights
-    their values and sums them into rows, and the buffers for n_rep
-    replicas of dimension d.
+    """The entries drift_batch evaluates K on, per block the terms that sum
+    that block's K values into rows, and the buffers for n_rep replicas of
+    dimension d.
 
     For a symmetric w and an odd K only the entries with row <= col are
     evaluated, and entry (i, j) below the diagonal takes minus the value of
-    (j, i): w_ij K(x_i - x_j) == -(w_ji K(x_j - x_i)) bitwise.  Row i of the
-    row-sum matrix lists its entries in the stored (row, col) order, each
-    with data sign * w of the evaluated entry (sign -1 for the folded
-    ones), so every row adds (sign * w) * K, bitwise sign * (w * K), in the
-    same order whether or not pairs are folded and however the right-hand
-    side is batched.  That keeps results bitwise stable across both.
-    A block holds DRIFT_BLOCK // (n_rep d) entries.
+    (j, i): w_ij K(x_i - x_j) == -(w_ji K(x_j - x_i)) bitwise.  Each stored
+    entry is one term, coef * K of its evaluated entry, with coef = sign * w
+    and sign -1 for the folded ones, so it is bitwise sign * (w * K).
+    A block holds DRIFT_BLOCK // (n_rep d) evaluated entries.  Its terms are
+    a small CSR matrix over the rows it feeds, target (a slice when they are
+    one run, else their indices): ptr the start of each row's terms and
+    then the end, src the block-local entry of each term and coef.  Summing
+    block after block adds every row's terms in its stored (row, col) order,
+    so results are bitwise the same whether or not pairs are folded and
+    however the replicas and entries are blocked.
     """
     t = w.transpose_index() if k.odd else None
-    if t is None:
-        keep, src, sign = slice(None), np.arange(w.nnz), 1.0
-    else:
-        keep = w.rows0 <= w.cols0
-        slot = np.cumsum(keep) - 1          # compact position of each kept entry
-        src = slot[np.where(keep, np.arange(w.nnz), t)]
-        sign = np.where(keep, 1.0, -1.0)
+    keep = slice(None) if t is None else w.rows0 <= w.cols0
     rows = w.rows0[keep]
-    rowsum = sp.csr_matrix((sign * w.values[keep][src], src, w.csr().indptr),
-                           shape=(w.n_agents, rows.size))
-    block = max(1, min(rows.size, DRIFT_BLOCK // (n_rep * d)))
     # the CSR's int32 columns as int64: np.take converts int32 indices on every call
-    return _Drift(rows, w.cols0[keep].astype(np.int64), rowsum, np.empty((rows.size, n_rep, d)),
-                  np.empty((block, n_rep, d)), np.empty((block, n_rep, d)))
+    cols = w.cols0[keep].astype(np.int64)
+    step = max(1, min(rows.size, DRIFT_BLOCK // max(1, n_rep * d)))
+    # the builders' nnz-sized temporaries are freed before the buffers exist
+    blocks = _run_blocks(w, step) if t is None else _folded_blocks(w, t, keep, step)
+    return _Drift(rows, cols, blocks, *(np.empty((step, n_rep, d)) for _ in range(3)))
+
+
+def _run_blocks(w, step):
+    """Blocks over every stored entry, each term its own entry with coef w:
+    block [lo, hi) feeds the run of rows from entry lo's to entry hi - 1's."""
+    indptr, local = w.csr().indptr, np.arange(step, dtype=np.int32)
+    blocks = []
+    for lo in range(0, w.nnz, step):
+        hi = min(lo + step, w.nnz)
+        r0, r1 = int(w.rows0[lo]), int(w.rows0[hi - 1]) + 1
+        ptr = (np.clip(indptr[r0:r1 + 1], lo, hi) - lo).astype(np.int32)
+        blocks.append((lo, slice(r0, r1), ptr, local[:hi - lo], w.values[lo:hi]))
+    return blocks
+
+
+def _folded_blocks(w, t, keep, step):
+    """Blocks over the kept entries (row <= col) of a symmetric w.  The term
+    of stored entry e reads its own entry when kept, else (sign -1) its
+    transpose t[e], which lies in an earlier row.  src therefore increases
+    along each stored row, so sorting the terms stably by block keeps every
+    row's terms in stored order."""
+    n_blocks = -(-np.count_nonzero(keep) // step)
+    src = (np.cumsum(keep) - 1)[np.where(keep, np.arange(w.nnz), t)]
+    order = np.argsort(src // step, kind="stable")
+    src, row = src[order], w.rows0[order]
+    coef = np.where(keep, w.values, -w.values)[order]
+    blk = src // step
+    # the first term of each (block, row) group, and each block's first group
+    head = np.flatnonzero(np.diff(blk * w.n_agents + row, prepend=-1))
+    first = np.searchsorted(blk[head], np.arange(n_blocks + 1))
+    bounds, target = np.append(head, w.nnz), row[head]
+    src = (src - blk * step).astype(np.int32)
+    blocks = []
+    for b in range(n_blocks):
+        g0, g1 = first[b], first[b + 1]
+        t0, t1 = bounds[g0], bounds[g1]
+        rows_b = target[g0:g1]
+        if rows_b[-1] - rows_b[0] == g1 - g0 - 1:           # one run of rows
+            rows_b = slice(int(rows_b[0]), int(rows_b[-1]) + 1)
+        blocks.append((b * step, rows_b, (bounds[g0:g1 + 1] - t0).astype(np.int32),
+                       src[t0:t1], coef[t0:t1]))
+    return blocks
+
+
+def _add_terms(ptr, src, coef, x, y):
+    """y[i] += coef[t] * x[src[t]] for t in ptr[i]:ptr[i+1], in that order,
+    by the kernels scipy's `csr @ x` runs on a zero y, dispatched as it
+    does: csr_matvecs on one column is ~3x slower than csr_matvec."""
+    if y.shape[1] == 1:
+        _sparsetools.csr_matvec(y.shape[0], x.shape[0], ptr, src, coef, x, y)
+    else:
+        _sparsetools.csr_matvecs(y.shape[0], x.shape[0], y.shape[1], ptr, src, coef, x, y)
 
 
 def drift_batch(w, k, positions, scratch=None):
@@ -96,11 +149,12 @@ def drift_batch(w, k, positions, scratch=None):
 
     On the entry path work is entry-major and blocked: DRIFT_BLOCK // (R d)
     plan entries at a time are gathered, subtracted and passed through
-    K (k.eval_into when the kernel has it, else k.eval) in two small
-    buffers that stay in cache, and K lands in one (n_eval, R, d) buffer
-    that the row-sum matrix, which carries the weights, reads with no
-    transpose.  Each step is elementwise per entry, so the blocking does
-    not change the result.
+    K (k.eval_into when the kernel has it, else k.eval) in small buffers
+    that stay in cache, and the block's terms are added at once into the
+    rows they feed of the (N, R d) result, through a row buffer when those
+    rows are not one run.  No array grows with the entries times R.  Each
+    step is elementwise per entry and every row adds its terms in stored
+    order, so the blocking does not change the result.
     For a symmetric w and an odd K each unordered pair is evaluated once,
     with results bitwise equal to evaluating every entry (see _drift).
     scratch, from _drift(w, k, R, d), holds the plan and the buffers and
@@ -117,9 +171,10 @@ def drift_batch(w, k, positions, scratch=None):
         return total.reshape(n, r, d).transpose(1, 0, 2)
     plan = _drift(w, k, r, d) if scratch is None else scratch
     n_eval, step = plan.rows.size, plan.xi.shape[0]
-    for lo in range(0, n_eval, step):
+    total = np.zeros((n, r * d))
+    for lo, target, ptr, src, coef in plan.blocks:
         hi = lo + step
-        out, xi, xj = plan.kv[lo:hi], plan.xi[:n_eval - lo], plan.xj[:n_eval - lo]
+        out, xi, xj = plan.kv[:n_eval - lo], plan.xi[:n_eval - lo], plan.xj[:n_eval - lo]
         # mode="clip" lets take write straight into xi; "raise" buffers it
         np.take(by_agent, plan.rows[lo:hi], axis=0, out=xi, mode="clip")
         np.take(by_agent, plan.cols[lo:hi], axis=0, out=xj, mode="clip")
@@ -128,7 +183,11 @@ def drift_batch(w, k, positions, scratch=None):
             k.eval_into(xi, out, xj)
         else:
             out[...] = k.eval(xi)
-    return (plan.rowsum @ plan.kv.reshape(-1, r * d)).reshape(n, r, d).transpose(1, 0, 2)
+        acc = total[target]             # a view for a slice, else a copy
+        _add_terms(ptr, src, coef, out.reshape(len(out), r * d), acc)
+        if not isinstance(target, slice):
+            total[target] = acc
+    return total.reshape(n, r, d).transpose(1, 0, 2)
 
 
 def _check_guard(w, k, dt):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -194,8 +195,9 @@ class TestPairSymmetry:
         scratch = particles._drift(w, k, 5, 1)
         n_eval = scratch.rows.size
         assert n_eval > 3
-        assert ([scratch.kv.shape, scratch.xi.shape, scratch.xj.shape]
-                == [(n_eval, 5, 1), (3, 5, 1), (3, 5, 1)])
+        # K of one block at a time: no buffer grows with the entries
+        assert [scratch.kv.shape, scratch.xi.shape, scratch.xj.shape] == [(3, 5, 1)] * 3
+        assert len(scratch.blocks) == -(-n_eval // 3)
         with mock.patch.object(particles, "_drift", side_effect=AssertionError):
             first = drift_batch(w, k, x, scratch)
             again = drift_batch(w, k, 2 * x, scratch)
@@ -231,6 +233,43 @@ class TestDriftBlocks:
         for run in runs[:2]:
             for got, want in zip(run, runs[2]):
                 assert np.array_equal(got, want)
+
+    def test_one_rk4_step_in_bounded_memory(self, rng):
+        # 131,072 entries at R = 64: K of every entry for every replica would
+        # be 67 MB.  One step traced a 77.6 MB peak with such an array and
+        # 9.3 MB streaming K block by block into the row sums
+        n, m = 2048, 64
+        w = gen_class_permutation(n, m, [c % (n // m) + 1 for c in range(1, n // m + 1)])
+        x = rng.standard_normal((64, n, 1))
+        tracemalloc.start()
+        try:
+            integrate(w, linear_attraction(), x, [0.02], 0.02)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    @pytest.mark.parametrize("n_rep", [0, 1, 5])
+    @pytest.mark.parametrize("graph", ["no_entries", "empty_rows_folded", "empty_rows_unfolded"])
+    def test_degenerate_shapes(self, rng, n_rep, graph):
+        # no replicas, no entries, and rows with no entries (the first, a
+        # middle and the last agent), each bitwise equal to the oracle
+        w = random_symmetric_weights(rng, 12, 0.6)
+        live = ~np.isin(w.rows0, [0, 5, 11]) & ~np.isin(w.cols0, [0, 5, 11])
+        if graph == "no_entries":
+            live[:] = False
+        vals = w.values * np.where(w.cols0 > w.rows0, 2.0, 1.0)     # asymmetric
+        w = SparseWeights(12, w.rows0[live], w.cols0[live],
+                          (vals if graph == "empty_rows_unfolded" else w.values)[live])
+        assert (w.transpose_index() is None) == (graph == "empty_rows_unfolded")
+        k = linear_attraction()
+        x = rng.standard_normal((n_rep, 12, 1))
+        got = drift_batch(w, k, x)
+        assert got.shape == x.shape
+        if n_rep:
+            want = indicator_drift_reference(w, k, x)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert integrate(w, k, x, [0.05, 0.1], 0.05).shape == (2,) + x.shape
 
 
 # the entry-path kernels: linear_attraction at three amplitudes carries
