@@ -2,7 +2,9 @@
 
 A Kernel bundles the pairwise interaction K together with the norms the
 error estimates need (Lipschitz constant, sup norm, L1 norm, sup of the
-divergence) and the state-space geometry.  K acts on difference vectors of
+divergence) and the state-space geometry; the constructor rejects a sup
+norm, Lipschitz constant or divergence bound below what K shows on a probe
+grid.  K acts on difference vectors of
 shape (..., dim) and must be pointwise over the leading axes: each output
 row depends only on its own difference vector, because the particle drift
 evaluates K on blocks of entries and any split must give the same bits.
@@ -56,6 +58,11 @@ _MODES_RTOL = 1e-12
 # underflow and overflow, x * x overflow, infinities and NaN
 _INTO_PROBE = np.array([0.0, -0.0, 1e-3, -0.7, 1.3, 27.0, -40.0, 710.0, -746.0, 1e200,
                         -1e200, np.inf, -np.inf, np.nan])
+# sup_norm, lipschitz and div_sup are checked from below on _CONST_PROBE
+# points per axis (one period on a torus, [-8, 8] on the line), to a relative
+# slack: a probe at the exact maximum may round above it
+_CONST_PROBE = 4097
+_CONST_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -110,6 +117,26 @@ class Kernel:
             if not np.array_equal(want.view(np.uint64), out.view(np.uint64)):
                 raise ValueError("kernel eval_into does not reproduce eval bitwise "
                                  "(a new eval needs its own eval_into, or None)")
+        self._check_constants()
+
+    def _check_constants(self):
+        """Reject a constant below what K shows along each coordinate axis:
+        every |K| is a lower bound on sup_norm, every secant slope one on
+        lipschitz and, in one dimension (a value of K' = div K), on div_sup."""
+        lo, hi = (0.0, self.domain.period) if self.domain.kind == "torus" else (-8.0, 8.0)
+        t = np.linspace(lo, hi, _CONST_PROBE)
+        x = np.eye(self.dim)[:, None, :] * t[:, None]      # x[a, i] = t[i] * e_a
+        with np.errstate(all="ignore"):
+            v = np.asarray(self.eval(x.reshape(-1, self.dim)), dtype=np.float64).reshape(x.shape)
+            slope = np.abs(np.diff(v, axis=1)) / np.diff(t)[:, None]
+        seen = {"sup_norm": np.abs(v), "lipschitz": slope}
+        if self.dim == 1:
+            seen["div_sup"] = slope
+        for fname, values in seen.items():
+            low = float(np.fmax.reduce(values, axis=None, initial=0.0))     # NaN readings skipped
+            if low > getattr(self, fname) * (1 + _CONST_RTOL):
+                raise ValueError(f"kernel declares {fname}={getattr(self, fname)!r}, "
+                                 f"below the {low!r} its probe grid shows")
 
     @property
     def w1inf_norm(self) -> float:

@@ -13,6 +13,8 @@ the kernel:
   rows at once, so its memory is O(nnz + block), not O(nnz R).  Its plan
   and buffers are one private record, built by `integrate` once per chunk
   of replicas; nothing is cached on w.
+Both paths sum with the weights module's CSR product (`_add_product`), the
+one way nxmf multiplies by a sparse matrix.
 """
 
 from __future__ import annotations
@@ -21,13 +23,10 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-# Y += A X for a CSR A, the kernel behind scipy's `csr @ x`; the indicator
-# oracle test pins its bits to the public product
-from scipy.sparse import _sparsetools
 
 from . import seeding
 from .kernels import Kernel
-from .weights import SparseWeights, check_scaling
+from .weights import SparseWeights, _add_product, _product, check_scaling
 
 
 # replicas advanced together by integrate; no result depends on it
@@ -90,7 +89,7 @@ def _drift(w: SparseWeights, k: Kernel, n_rep: int, d: int) -> _Drift:
 def _run_blocks(w, step):
     """Blocks over every stored entry, each term its own entry with coef w:
     block [lo, hi) feeds the run of rows from entry lo's to entry hi - 1's."""
-    indptr, local = w.csr().indptr, np.arange(step, dtype=np.int32)
+    indptr, local = w.indptr, np.arange(step, dtype=np.int32)
     blocks = []
     for lo in range(0, w.nnz, step):
         hi = min(lo + step, w.nnz)
@@ -129,16 +128,6 @@ def _folded_blocks(w, t, keep, step):
     return blocks
 
 
-def _add_terms(ptr, src, coef, x, y):
-    """y[i] += coef[t] * x[src[t]] for t in ptr[i]:ptr[i+1], in that order,
-    by the kernels scipy's `csr @ x` runs on a zero y, dispatched as it
-    does: csr_matvecs on one column is ~3x slower than csr_matvec."""
-    if y.shape[1] == 1:
-        _sparsetools.csr_matvec(y.shape[0], x.shape[0], ptr, src, coef, x, y)
-    else:
-        _sparsetools.csr_matvecs(y.shape[0], x.shape[0], y.shape[1], ptr, src, coef, x, y)
-
-
 def drift_batch(w, k, positions, scratch=None):
     """Drift for a stack of independent replicas, shape (R, N, d).
 
@@ -161,12 +150,14 @@ def drift_batch(w, k, positions, scratch=None):
     is reused across calls; without it both are built per call.
     """
     r, n, d = positions.shape
+    if n != w.n_agents:         # the CSR kernels do not bound-check their columns
+        raise ValueError("weights and positions disagree on the number of agents")
     by_agent = np.ascontiguousarray(positions.transpose(1, 0, 2))
     if k.modes is not None:
-        x, csr = by_agent.reshape(n, r * d), w.csr()
+        x = by_agent.reshape(n, r * d)
         total = None
         for a_r, b_r in k.modes:
-            term = a_r(x) * (csr @ b_r(x))
+            term = a_r(x) * _product(w.indptr, w.cols0, w.values, b_r(x))
             total = term if total is None else total + term
         return total.reshape(n, r, d).transpose(1, 0, 2)
     plan = _drift(w, k, r, d) if scratch is None else scratch
@@ -184,7 +175,7 @@ def drift_batch(w, k, positions, scratch=None):
         else:
             out[...] = k.eval(xi)
         acc = total[target]             # a view for a slice, else a copy
-        _add_terms(ptr, src, coef, out.reshape(len(out), r * d), acc)
+        _add_product(ptr, src, coef, out.reshape(len(out), r * d), acc)
         if not isinstance(target, slice):
             total[target] = acc
     return total.reshape(n, r, d).transpose(1, 0, 2)

@@ -29,10 +29,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .kernels import Domain, Kernel
-from .weights import SparseWeights
+from .weights import SparseWeights, _product
 
 
 # fraction of the advective CFL limit an automatically chosen step takes
@@ -226,10 +225,11 @@ def _domain_mismatch(g: Grid1D, domain: Domain) -> tuple[str, str] | None:
 
 def velocity(f: FiberedDensity, w: SparseWeights, k: Kernel) -> np.ndarray:
     """Velocity of every fiber on the cells, shape (n_fibers, G): the weight
-    matrix applied across fibers to the per-fiber kernel convolutions, the
-    product solve marches with."""
+    matrix applied across fibers to the per-fiber kernel convolutions, by
+    the weights module's CSR product, as solve marches with."""
     _check_operands(f.n_fibers, w, k)
-    return w.csr() @ _convolve(f.values, f.grid, _spectrum(f.grid, k), _scratch(f.n_fibers, f.grid))
+    conv = _convolve(f.values, f.grid, _spectrum(f.grid, k), _scratch(f.n_fibers, f.grid))
+    return _product(w.indptr, w.cols0, w.values, conv)
 
 
 def cfl_limits(vmax: float, dx: float) -> float:
@@ -346,9 +346,9 @@ def _row_classes(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fiber_classes(f: FiberedDensity, a: sp.csr_matrix) -> np.ndarray:
+def _fiber_classes(f: FiberedDensity, w: SparseWeights) -> np.ndarray:
     """Class of each fiber in the coarsest exact lumping of the march with
-    weight operator a, numbered in order of first appearance (so the
+    weight matrix w, numbered in order of first appearance (so the
     identity when no two fibers lump).
 
     Fibers of one class hold bitwise-equal values and leakage, and their
@@ -362,12 +362,12 @@ def _fiber_classes(f: FiberedDensity, a: sp.csr_matrix) -> np.ndarray:
     if n_classes == f.n_fibers:
         return color
     # the weight rows grouped by length, as (fibers, columns, weight bits)
-    lengths = np.diff(a.indptr)
+    lengths = np.diff(w.indptr)
     groups = []
     for length in np.unique(lengths):
         rows = np.flatnonzero(lengths == length)
-        idx = a.indptr[rows, None] + np.arange(length)
-        groups.append((rows, a.indices[idx], a.data.view(np.int64)[idx]))
+        idx = w.indptr[rows, None] + np.arange(length)
+        groups.append((rows, w.cols0[idx], w.values.view(np.int64)[idx]))
     while n_classes < f.n_fibers:
         sub = np.empty_like(color)
         for rows, cols, bits in groups:
@@ -430,8 +430,8 @@ def solve(f0: FiberedDensity, w: SparseWeights, k: Kernel, nu: float,
     targets = _output_times(output_times, t_end)
     g = f0.grid
     dx = g.dx
-    a = w.csr()
-    color = _fiber_classes(f0, a)
+    a = (w.indptr, w.cols0, w.values)       # the CSR operator the march applies
+    color = _fiber_classes(f0, w)
     n_classes = int(color.max()) + 1
     vals, leakage, expand = f0.values, f0.leakage, None
     if n_classes < f0.n_fibers:
@@ -439,9 +439,10 @@ def solve(f0: FiberedDensity, w: SparseWeights, k: Kernel, nu: float,
         # by its class and duplicates kept in stored order, adds the same
         # terms in the same order as the full row
         reps = np.unique(color, return_index=True)[1]
-        rows = a[reps]
-        a = sp.csr_matrix((rows.data, color[rows.indices], rows.indptr),
-                          shape=(n_classes, n_classes))
+        starts, lengths = w.indptr[reps], np.diff(w.indptr)[reps]
+        ptr = np.concatenate(([0], np.cumsum(lengths)))
+        take = np.repeat(starts - ptr[:-1], lengths) + np.arange(ptr[-1])
+        a = (ptr, color[w.cols0[take]], w.values[take])
         vals, leakage, expand = vals[reps], leakage[reps], color
 
     def density(vals, time, leakage, clamp_total):
@@ -463,7 +464,7 @@ def solve(f0: FiberedDensity, w: SparseWeights, k: Kernel, nu: float,
     while state[1] < t_end - 1e-12:
         prev = state
         vals, time, leakage, clamp_total = prev
-        faces = _face_velocities(a @ _convolve(vals, g, kh, buf), g.topology, buf.faces)
+        faces = _face_velocities(_product(*a, _convolve(vals, g, kh, buf)), g.topology, buf.faces)
         vmax = float(np.abs(faces, out=buf.lower).max())
         dt_ok = cfl_limits(vmax, dx)
         limit = dt_ok if vmax != 0 or nu <= 0 else 0.25 * dx**2 / nu

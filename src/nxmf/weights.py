@@ -7,15 +7,21 @@ interaction assembled from many small contributions.  This module stores
 such matrices sparsely, generates the standard families (uniform,
 class-permutation, graphon-sampled), verifies the scaling quantities
 exactly, and applies the matrix as an operator on per-agent vectors.
+
+Every CSR product in nxmf is `_add_product`, on scipy's compiled kernels
+(scipy.sparse._sparsetools), loaded by file path: the set-up of
+scipy.sparse would be about half of `import nxmf`.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib import machinery, util
 
 import numpy as np
-import scipy.sparse as sp
 
 from .seeding import GRAPH, stream
 
@@ -32,14 +38,52 @@ __all__ = [
 ]
 
 
+def _load_sparsetools():
+    """scipy.sparse._sparsetools: the module in sys.modules when there, else
+    its extension file loaded by path (scipy itself is not imported) and
+    registered under its name, so a later scipy.sparse reuses it."""
+    name = "scipy.sparse._sparsetools"
+    if name not in sys.modules:
+        where = os.path.join(util.find_spec("scipy").submodule_search_locations[0], "sparse")
+        spec = machinery.FileFinder(where, (machinery.ExtensionFileLoader,
+                                            machinery.EXTENSION_SUFFIXES)).find_spec(name)
+        sys.modules[name] = util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+_sparsetools = _load_sparsetools()
+
+
+def _add_product(ptr, cols, vals, x, y):
+    """y += A x for the CSR matrix A = (ptr, cols, vals) with y.shape[0] rows:
+    y[i] += vals[t] * x[cols[t]] for t in ptr[i]:ptr[i+1], in that order, by
+    the kernels scipy's `csr @ x` runs on a zero y, dispatched as it does
+    (csr_matvecs on one column is ~3x slower than csr_matvec).  y is float64;
+    the callers check that x has a row per column of A."""
+    if y.ndim == 1 or y.shape[1] == 1:
+        _sparsetools.csr_matvec(y.shape[0], x.shape[0], ptr, cols, vals, x, y)
+    else:
+        _sparsetools.csr_matvecs(y.shape[0], x.shape[0], y.shape[1], ptr, cols, vals, x, y)
+
+
+def _product(ptr, cols, vals, x):
+    """A x for the CSR matrix A = (ptr, cols, vals) and x of shape (n,) or
+    (n, k), from a zero output: bitwise scipy's `csr @ x`."""
+    y = np.zeros((ptr.size - 1,) + x.shape[1:])
+    _add_product(ptr, cols, vals, x, y)
+    return y
+
+
 class SparseWeights:
     """Immutable sparse N x N weight matrix with 1-based external indices.
 
-    The storage is one scipy CSR matrix, entries sorted by (row, col) with
-    duplicates rejected.  cols0, values and the row pointer are read-only
-    views of its indices, data and indptr; rows0 is the row of every entry.
-    Only this module caches onto an instance (the scaling report and the
-    transpose index); other modules keep what they derive from it.
+    The storage is CSR in plain read-only numpy arrays, entries sorted by
+    (row, col) with duplicates rejected: the row pointer indptr (int32, row
+    i's entries at indptr[i]:indptr[i+1]), and per entry its 0-based row
+    (rows0), column (cols0, int32) and value (values).  Only this module
+    caches onto an instance (the scaling report, the transpose index and
+    the scipy view); other modules keep what they derive from it.
     """
 
     def __init__(self, n_agents, rows, cols, vals):
@@ -58,22 +102,20 @@ class SparseWeights:
         key = rows * n
         key += cols
         if np.all(key[1:] > key[:-1]):          # already in (row, col) order: no sort
-            rows = rows.copy()
+            rows, vals = rows.copy(), vals.copy()   # the caller's arrays stay theirs
         else:
             order = np.argsort(key)
             key = key[order]
             if np.any(key[1:] == key[:-1]):
                 raise ValueError("duplicate (i, j) entry")
             rows, cols, vals = rows[order], cols[order], vals[order]
-        del key                                 # freed before the CSR's copies
+        del key                                 # freed before the int32 copies
         self.n_agents = n
-        self._rows = rows
-        # copy=True: the caller's cols and vals stay theirs
-        self._csr = sp.csr_matrix((vals, cols, np.searchsorted(rows, np.arange(n + 1))),
-                                  shape=(n, n), copy=True)
-        self._csr.has_canonical_format = True   # sorted, no duplicates: scipy never rewrites it
-        for a in (rows, self._csr.data, self._csr.indices, self._csr.indptr):
+        self.rows0, self.cols0, self.values = rows, cols.astype(np.int32), vals
+        self.indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+        for a in (self.rows0, self.cols0, self.values, self.indptr):
             a.setflags(write=False)
+        self._csr = None
         self._scaling = None
         self._transpose = None     # transpose_index(): None until computed, False if asymmetric
 
@@ -91,28 +133,22 @@ class SparseWeights:
 
     @property
     def nnz(self) -> int:
-        return int(self._rows.size)
-
-    @property
-    def rows0(self) -> np.ndarray:
-        """0-based row index per stored entry, sorted by (row, col)."""
-        return self._rows
-
-    @property
-    def cols0(self) -> np.ndarray:
-        return self._csr.indices
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._csr.data
+        return int(self.rows0.size)
 
     def entries(self):
         """Iterate 1-based (i, j, w) in storage order."""
-        for r, c, v in zip(self._rows, self.cols0, self.values):
+        for r, c, v in zip(self.rows0, self.cols0, self.values):
             yield int(r) + 1, int(c) + 1, float(v)
 
-    def csr(self) -> sp.csr_matrix:
-        """The stored matrix itself, read-only."""
+    def csr(self):
+        """The stored matrix as a read-only scipy CSR matrix on the same
+        arrays, built on the first call, which imports scipy.sparse.  For
+        callers outside nxmf; its products are bitwise `_product`'s."""
+        if self._csr is None:
+            import scipy.sparse as sp
+            self._csr = sp.csr_matrix((self.values, self.cols0, self.indptr),
+                                      shape=(self.n_agents,) * 2, copy=False)
+            self._csr.has_canonical_format = True   # sorted, no duplicates: scipy never rewrites it
         return self._csr
 
     def transpose_index(self) -> np.ndarray | None:
@@ -127,14 +163,14 @@ class SparseWeights:
         return None if self._transpose is False else self._transpose
 
     def _find_transpose(self):
-        rows, cols, vals, nnz = self._rows, self.cols0, self.values, self.nnz
+        rows, cols, vals, nnz = self.rows0, self.cols0, self.values, self.nnz
         if nnz == 0:
             return np.zeros(0, dtype=np.int64)
         # i is the first non-empty row.  In a symmetric matrix no column is
         # smaller than i either, so each (j, i) must lead its row j.
         i = rows[0]
-        js = cols[:self._csr.indptr[i + 1]]
-        lead = np.minimum(self._csr.indptr[js], nnz - 1)
+        js = cols[:self.indptr[i + 1]]
+        lead = np.minimum(self.indptr[js], nnz - 1)
         if not (np.array_equal(rows[lead], js) and np.all(cols[lead] == i)
                 and np.array_equal(vals[lead], vals[:js.size])):
             return False
@@ -150,7 +186,7 @@ class SparseWeights:
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n_agents, self.n_agents))
-        a[self._rows, self.cols0] = self.values
+        a[self.rows0, self.cols0] = self.values
         return a
 
     def permuted(self, perm: np.ndarray) -> "SparseWeights":
@@ -163,7 +199,7 @@ class SparseWeights:
             raise ValueError("perm must be a permutation of 0..n_agents-1")
         inv = np.empty_like(perm)
         inv[perm] = np.arange(self.n_agents)
-        return SparseWeights(self.n_agents, inv[self._rows], inv[self.cols0], self.values)
+        return SparseWeights(self.n_agents, inv[self.rows0], inv[self.cols0], self.values)
 
     def __eq__(self, other):
         return (
@@ -213,10 +249,14 @@ def check_scaling(w: SparseWeights) -> ScalingReport:
     """
     if w._scaling is not None:
         return w._scaling
-    n, by_col = w.n_agents, w.csr().T.tocsr()     # the entries grouped by column
+    n, nnz = w.n_agents, w.nnz
+    # the entries grouped by column: col_ptr and by_col are the CSC's pointer and values
+    col_ptr, by_col = np.empty(n + 1, dtype=np.int32), np.empty(nnz)
+    _sparsetools.csr_tocsc(n, n, w.indptr, w.cols0, w.values, col_ptr,
+                           np.empty(nnz, dtype=np.int32), by_col)
     w._scaling = ScalingReport(
-        max_row_abs_sum=_max_abs_fsum(w.values, w.csr().indptr),
-        max_col_abs_sum=_max_abs_fsum(by_col.data, by_col.indptr),
+        max_row_abs_sum=_max_abs_fsum(w.values, w.indptr),
+        max_col_abs_sum=_max_abs_fsum(by_col, col_ptr),
         max_entry_abs=float(np.abs(w.values).max(initial=0.0)),
         density=w.nnz / float(n * n),
     )
@@ -292,14 +332,14 @@ def kernel_apply(w: SparseWeights, phi: np.ndarray) -> np.ndarray:
     out_i = sum_j w_ij phi_j, the action of the empirical kernel on
     functions of the second variable.  The empirical-graphon normalization
     N * w_ij cancels against the 1/N cell measure, so the raw stored weights
-    apply with no extra factor.
+    apply with no extra factor.  The product is `_product`, bitwise
+    w.csr() @ phi.
     """
     phi = np.asarray(phi, dtype=np.float64)
     if phi.shape[0] != w.n_agents:
         raise ValueError(f"phi has leading size {phi.shape[0]}, expected {w.n_agents}")
-    if phi.ndim == 1:
-        return w.csr() @ phi
-    return (w.csr() @ phi.reshape(phi.shape[0], -1)).reshape(phi.shape)
+    flat = phi if phi.ndim == 1 else phi.reshape(phi.shape[0], -1)
+    return _product(w.indptr, w.cols0, w.values, flat).reshape(phi.shape)
 
 
 def save_edge_list(w: SparseWeights, path) -> None:

@@ -249,6 +249,12 @@ class TestDriftBlocks:
             tracemalloc.stop()
         assert peak < 16e6
 
+    @pytest.mark.parametrize("make", [linear_attraction, kuramoto], ids=["entries", "modes"])
+    def test_agent_count_mismatch_rejected(self, rng, make):
+        # both paths run compiled CSR kernels, which read x at w's columns unchecked
+        with pytest.raises(ValueError, match="number of agents"):
+            drift_batch(gen_uniform(8, 1.0), make(), rng.standard_normal((2, 4, 1)))
+
     @pytest.mark.parametrize("n_rep", [0, 1, 5])
     @pytest.mark.parametrize("graph", ["no_entries", "empty_rows_folded", "empty_rows_unfolded"])
     def test_degenerate_shapes(self, rng, n_rep, graph):
@@ -425,7 +431,8 @@ class TestEvalIntoGuard:
         with pytest.raises(ValueError, match="eval_into"):
             dataclasses.replace(k, eval=lambda x: -2.0 * x * np.exp(-(x * x)))
         doubled = dataclasses.replace(k, eval=lambda x: -2.0 * x * np.exp(-(x * x)),
-                                      eval_into=None)
+                                      eval_into=None, lipschitz=2.0, sup_norm=2.0 * k.sup_norm,
+                                      div_sup=2.0)
         w = random_symmetric_weights(rng, 9, 0.6)
         x = rng.standard_normal((3, 9, 1))
         assert np.array_equal(drift_batch(w, doubled, x), drift_batch(w, linear_attraction(2.0), x))
@@ -634,6 +641,42 @@ class TestNoiseLayout:
         small = integrate(w, k, x0[:, :n], [0.1, 0.2], 0.05, 0.5, 17)
         large = integrate(wide, k, x0, [0.1, 0.2], 0.05, 0.5, 17)
         assert np.array_equal(large[:, :, :n], small)
+
+
+class TestDeclaredConstants:
+    """Kernel rejects a sup_norm, lipschitz or div_sup below what K shows."""
+
+    @pytest.mark.parametrize("fname,factor", [("lipschitz", 0.25), ("sup_norm", 0.25),
+                                              ("div_sup", 0.25), ("lipschitz", 0.9999)])
+    def test_under_declared_constant_rejected(self, fname, factor):
+        # lipschitz at 0.25: the amplitude-4 kernel declared with lipschitz 1
+        k = linear_attraction(4.0)
+        with pytest.raises(ValueError, match=fname):
+            dataclasses.replace(k, **{fname: factor * getattr(k, fname)})
+
+    def test_torus_probed_over_one_period(self):
+        # sin peaks at pi / 2, inside the period but off the line's axis
+        with pytest.raises(ValueError, match="sup_norm"):
+            dataclasses.replace(kuramoto(2.0), sup_norm=1.9)
+
+    def test_presets_and_exact_constants_construct(self):
+        kernels = [kuramoto(), kuramoto(0.3), linear_attraction(), linear_attraction(-3.0),
+                   linear_attraction(4.0), TestHodgkinHuxley().make()]
+        for k in kernels:
+            assert dataclasses.replace(k) == k
+        # the exact sup |a| / sqrt(2 e) and the slope 1 of a linear kernel pass
+        k = Kernel(dim=1, eval=lambda x: -x, lipschitz=1.0, sup_norm=math.inf,
+                   l1_norm=math.inf, div_sup=1.0, zero_at_origin=True)
+        assert k.lipschitz == 1.0
+
+    def test_nan_readings_only_skip(self):
+        # NaN values are left to the particle guards; finite ones still count
+        def k_eval(x):
+            return np.where(np.abs(x) < 1.0, np.nan, -x)
+
+        with pytest.raises(ValueError, match="sup_norm"):
+            Kernel(dim=1, eval=k_eval, lipschitz=1.0, sup_norm=1.0, l1_norm=math.inf,
+                   div_sup=1.0, zero_at_origin=False)
 
 
 class TestHodgkinHuxley:

@@ -362,13 +362,15 @@ class TestStepTransport:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_velocity_is_cfl_error(self, bad):
-        # K is non-finite only at the origin, so the velocity is non-finite
+        # K is non-finite only at the origin, so the velocity is non-finite;
+        # an infinite K declares infinite constants
         g = Grid1D(-5, 5, 64)
         f = gaussian_fibers(g, [1.0, -1.0], [0.5, 0.5])
         w = gen_uniform(2, 1.0, include_diagonal=True)
         base = linear_attraction()
         k = dataclasses.replace(base, eval=lambda x: np.where(x == 0.0, bad, base.eval(x)),
-                                eval_into=None, zero_at_origin=False, odd=False)
+                                eval_into=None, zero_at_origin=False, odd=False,
+                                sup_norm=math.inf, lipschitz=math.inf, div_sup=math.inf)
         with np.errstate(invalid="ignore"), pytest.raises(CFLError, match="non-finite"):
             step(f, w, k, dt=1e-6)
 
@@ -618,7 +620,7 @@ class TestLumping:
         block = rng.uniform(-1.0, 1.0, (6, 6)) * (rng.random((6, 6)) < 0.7)
         f, w = class_block_inputs(g, labels, random_fibers(rng, g, 6).values, block)
         k = kuramoto() if topology == "torus" else linear_attraction()
-        assert np.array_equal(pde._fiber_classes(f, w.csr()), labels)
+        assert np.array_equal(pde._fiber_classes(f, w), labels)
         times = [0.05, 0.3]
         res, rows = marched(f, w, k, nu=0.01, t_end=0.3, output_times=times)
         assert rows and set(rows) == {6}
@@ -631,7 +633,7 @@ class TestLumping:
         n = 12
         f = gaussian_fibers(g, [0.2] * n, [0.6] * n)
         w = random_sparse_weights(rng, n, 0.4)
-        n_classes = int(pde._fiber_classes(f, w.csr()).max()) + 1
+        n_classes = int(pde._fiber_classes(f, w).max()) + 1
         assert n_classes > 1
         res, rows = marched(f, w, linear_attraction(), nu=0.0, t_end=0.3, output_times=[0.3])
         assert set(rows) == {n_classes}
@@ -643,7 +645,7 @@ class TestLumping:
         g = Grid1D(-3, 3, 48)
         f = gaussian_fibers(g, [0.2] * 6, [0.6] * 6)
         w = SparseWeights.from_entries(6, [(1, 2, 0.5), (2, 3, 0.5), (4, 5, 0.5), (5, 6, 0.5)])
-        assert np.array_equal(pde._fiber_classes(f, w.csr()), [0, 1, 2, 0, 1, 2])
+        assert np.array_equal(pde._fiber_classes(f, w), [0, 1, 2, 0, 1, 2])
         res, rows = marched(f, w, linear_attraction(), nu=0.0, t_end=0.3, output_times=[0.3])
         assert set(rows) == {3}
         assert_matches_reference(res, f, w, linear_attraction(), 0.0, 0.3, [0.3])
@@ -654,7 +656,7 @@ class TestLumping:
         f = gaussian_fibers(g, [0.2] * 4, [0.6] * 4)
         f = dataclasses.replace(f, leakage=np.array([0.0, 0.0, 1e-3, 0.0]))
         w = gen_uniform(4, 1.0, include_diagonal=True)
-        assert np.array_equal(pde._fiber_classes(f, w.csr()), [0, 0, 1, 0])
+        assert np.array_equal(pde._fiber_classes(f, w), [0, 0, 1, 0])
         res, rows = marched(f, w, linear_attraction(), nu=0.0, t_end=0.3, output_times=[0.3])
         assert set(rows) == {2}
         assert_matches_reference(res, f, w, linear_attraction(), 0.0, 0.3, [0.3])
@@ -722,7 +724,7 @@ def noisy_torus_shape():
     (indep_gap_shape, 2), (criterion_2_shape, 1), (noisy_torus_shape, 256)])
 def test_solve_marches_one_row_per_class(shape, n_classes):
     f, w, k, nu = shape()
-    assert int(pde._fiber_classes(f, w.csr()).max()) + 1 == n_classes
+    assert int(pde._fiber_classes(f, w).max()) + 1 == n_classes
     res, rows = marched(f, w, k, nu=nu, t_end=0.05, output_times=[0.05])
     assert rows and set(rows) == {n_classes}
     assert res.final.n_fibers == f.n_fibers

@@ -1,6 +1,10 @@
 import importlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,6 +269,93 @@ class TestKernelApply:
         assert out.shape == phi.shape
         expected = np.tensordot(w.to_dense(), phi, axes=1)
         assert np.abs(out - expected).max() <= 1e-14
+
+
+
+class TestProduct:
+    """weights._product, the one CSR product in nxmf, is bitwise scipy's `csr @ x`."""
+
+    @staticmethod
+    def assert_bitwise_scipy(w, x):
+        got = weights._product(w.indptr, w.cols0, w.values, x)
+        want = w.csr() @ x
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("trailing", [(), (1,), (7,)], ids=["1d", "one_column", "columns"])
+    def test_non_symmetric(self, rng, trailing):
+        w = random_sparse_weights(rng, 23, density=0.4)
+        assert w.transpose_index() is None
+        self.assert_bitwise_scipy(w, rng.standard_normal((23,) + trailing))
+
+    @pytest.mark.parametrize("trailing", [(), (1,), (4,)], ids=["1d", "one_column", "columns"])
+    def test_empty_rows(self, rng, trailing):
+        w = SparseWeights(7, [0, 0, 4, 4, 4], [1, 6, 0, 2, 3], rng.standard_normal(5))
+        assert np.count_nonzero(np.diff(w.indptr) == 0) == 5
+        self.assert_bitwise_scipy(w, rng.standard_normal((7,) + trailing))
+
+    @pytest.mark.parametrize("trailing", [(), (1,), (3,)], ids=["1d", "one_column", "columns"])
+    def test_no_entries(self, rng, trailing):
+        w = SparseWeights(5, [], [], [])
+        self.assert_bitwise_scipy(w, rng.standard_normal((5,) + trailing))
+
+    def test_kernel_apply_is_the_product(self, rng):
+        w = random_sparse_weights(rng, 13, density=0.5)
+        phi = rng.standard_normal((13, 2, 3))
+        want = (w.csr() @ phi.reshape(13, 6)).reshape(phi.shape)
+        assert np.array_equal(kernel_apply(w, phi).view(np.uint64), want.view(np.uint64))
+
+    def test_scaling_report_matches_scipy_column_grouping(self, rng):
+        for density in (0.0, 0.05, 0.3, 1.0):
+            w = random_sparse_weights(rng, 29, density=density)
+            csc = w.csr().tocsc()
+            assert check_scaling(w) == ScalingReport(
+                max_row_abs_sum=weights._max_abs_fsum(w.values, w.indptr),
+                max_col_abs_sum=weights._max_abs_fsum(csc.data, csc.indptr),
+                max_entry_abs=float(np.abs(w.values).max(initial=0.0)),
+                density=w.nnz / 29.0**2,
+            )
+
+
+def run_python(script):
+    """Run script in a fresh interpreter that imports nxmf from this checkout."""
+    src = str(Path(weights.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=300)
+
+
+class TestSparsetoolsLoader:
+    """nxmf reaches scipy's compiled CSR kernels without importing scipy.sparse."""
+
+    def test_readme_commands_leave_scipy_sparse_unimported(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        config = tmp_path / "readme.json"
+        config.write_text(readme.split("```json\n", 1)[1].split("```", 1)[0])
+        run_python(f"""
+import sys
+from nxmf import cli, weights
+for command in ("simulate", "solve", "observe", "rearrange", "convergence"):
+    assert cli.main([command, "--config", {str(config)!r},
+                     "--out", {str(tmp_path)!r} + "/" + command]) == 0, command
+assert "scipy.sparse" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+# registered under its own name: scipy.sparse, imported now, reuses the module
+import numpy as np
+import scipy.sparse
+from scipy.sparse import _sparsetools
+assert _sparsetools is weights._sparsetools
+a = scipy.sparse.random(9, 9, density=0.4, format="csr", random_state=1)
+assert np.allclose(a @ np.arange(9.0), a.toarray() @ np.arange(9.0))
+""")
+
+    def test_loader_reuses_a_loaded_scipy_sparse(self):
+        run_python("""
+import sys
+import scipy.sparse
+loaded = sys.modules["scipy.sparse._sparsetools"]
+from nxmf import weights
+assert weights._sparsetools is loaded
+""")
 
 
 class TestStorage:
