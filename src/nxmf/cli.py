@@ -33,7 +33,7 @@ from .observables import (
     tau,
 )
 from .particles import StabilityError, integrate
-from .pde import CFLError, solve, velocity
+from .pde import CFLError, solve
 from .rearrange import CellFunctions, build_phi, fit_modulus_constant, modulus, save_permutation
 from .trees import enumerate_trees
 from .weights import check_scaling
@@ -237,16 +237,15 @@ def cmd_observe(cfg: ExperimentConfig, em: Emitter, seed: int):
     })
 
     if len(res.snapshots) >= 3:
-        # mid is the residual's middle snapshot: its tau values and velocity
-        # are reused, not recomputed per tree
-        vel = velocity(mid, w, cfg.kernel)
+        # mid is the residual's middle snapshot: its tau values are reused,
+        # not recomputed per tree
         rows = []
         for order in (1, 2):
             if order > n_max:
                 continue
             for t in enumerate_trees(order):
                 rep = hierarchy_residual(t, w, res.snapshots, cfg.kernel, nu=cfg.nu,
-                                         tau1=h.observables[t].values, vel=vel)
+                                         tau1=h.observables[t].values)
                 rows.append((t.to_text(), order, rep.value, rep.dt, rep.dx))
         em.write_csv("hierarchy_residuals.csv", ["tree", "order", "l1_residual", "dt", "dx"],
                      list(zip(*rows)))

@@ -1,10 +1,10 @@
 """Interaction kernels and dynamics presets.
 
 A Kernel bundles the pairwise interaction K together with the norms the
-error estimates need (Lipschitz constant, sup norm, L1 norm, sup of the
-divergence) and the state-space geometry; the constructor rejects a sup
-norm, Lipschitz constant or divergence bound below what K shows on a probe
-grid.  K acts on difference vectors of
+error estimates need (Lipschitz constant, sup norm, sup of the divergence)
+and the state-space geometry; the constructor takes keyword arguments only
+and rejects a sup norm, Lipschitz constant or divergence bound below what K
+shows on a probe grid.  K acts on difference vectors of
 shape (..., dim) and must be pointwise over the leading axes: each output
 row depends only on its own difference vector, because the particle drift
 evaluates K on blocks of entries and any split must give the same bits.
@@ -65,15 +65,13 @@ _CONST_PROBE = 4097
 _CONST_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Kernel:
     dim: int
     eval: Callable[[np.ndarray], np.ndarray]
     lipschitz: float
     sup_norm: float
-    l1_norm: float            # may be math.inf
     div_sup: float
-    zero_at_origin: bool
     domain: Domain = LINE
     self_drift: Callable[[np.ndarray], np.ndarray] | None = field(default=None)
     name: str = "custom"
@@ -86,13 +84,9 @@ class Kernel:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        for fname in ("lipschitz", "sup_norm", "l1_norm", "div_sup"):
-            if getattr(self, fname) < 0:
+        for fname in ("lipschitz", "sup_norm", "div_sup"):
+            if not getattr(self, fname) >= 0:      # also rejects NaN
                 raise ValueError(f"{fname} must be >= 0")
-        if self.zero_at_origin:
-            z = np.asarray(self.eval(np.zeros((1, self.dim))))
-            if not np.allclose(z, 0.0, atol=1e-15):
-                raise ValueError("kernel flagged zero_at_origin but K(0) != 0")
         if self.odd:
             p = _ODD_PROBE[:, None] * (-1.5) ** np.arange(self.dim)
             v = np.asarray(self.eval(np.concatenate((p, -p))))
@@ -166,9 +160,7 @@ def kuramoto(coupling: float = 1.0) -> Kernel:
         eval=k_eval,
         lipschitz=c,
         sup_norm=c,
-        l1_norm=4.0 * c,      # integral of |sin| over one period
         div_sup=c,
-        zero_at_origin=True,
         domain=Domain("torus", 2.0 * math.pi),
         name="kuramoto",
         odd=True,
@@ -202,9 +194,7 @@ def linear_attraction(amplitude: float = 1.0) -> Kernel:
         eval=k_eval,
         lipschitz=size,
         sup_norm=size / math.sqrt(2.0 * math.e),
-        l1_norm=size,
         div_sup=size,
-        zero_at_origin=True,
         domain=LINE,
         name="linear_attraction",
         odd=True,
@@ -256,9 +246,7 @@ def hodgkin_huxley(constants: dict, alpha: dict, beta: dict) -> Kernel:
         eval=k_eval,
         lipschitz=1.0 / c_m,
         sup_norm=math.inf,
-        l1_norm=math.inf,
         div_sup=1.0 / c_m,
-        zero_at_origin=True,
         domain=LINE,
         self_drift=self_drift,
         name="hodgkin_huxley",

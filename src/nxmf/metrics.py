@@ -4,12 +4,11 @@ w1 is exact in one dimension: the integral of |CDF_a - CDF_b| over the
 merged breakpoint partition, with atom laws contributing step CDFs and
 grid laws piecewise-linear ones.  The gap estimators compare Monte Carlo
 particle laws against the coupled transport solution and report the
-explicit error constants
+explicit error constant
 
     C1(t) = sqrt(2/C) (exp(2 C t |K|_{W1,inf}) - 1),
-    C2(t) = sqrt(2 M^2 + 2 C^2 |K|_inf^2 t^2),
 
-where C bounds the row sums and M the initial second moments.  Every
+where C bounds the row sums.  Every
 report carries its own estimator tolerance (3 * stderr + dx): expectations
 are seed averages, so bounds are only meaningful together with the Monte
 Carlo and grid resolution.  With path noise the seed average conflates
@@ -54,6 +53,8 @@ class Law1D:
     @classmethod
     def from_atoms(cls, positions, weights=None) -> "Law1D":
         x = np.asarray(positions, dtype=np.float64).ravel()
+        if x.size == 0:
+            raise ValueError("need at least one atom")
         if weights is None:
             w = np.full(x.size, 1.0 / x.size)
         else:
@@ -71,14 +72,7 @@ class Law1D:
 
     @classmethod
     def from_grid(cls, grid: Grid1D, values) -> "Law1D":
-        v = np.asarray(values, dtype=np.float64).ravel()
-        if v.size != grid.n_cells:
-            raise ValueError("values length must equal the cell count")
-        if not (v.min(initial=0.0) >= 0 and v.max(initial=0.0) < math.inf):
-            raise ValueError("densities must be finite and >= 0")
-        mass = v.sum() * grid.dx
-        if abs(mass - 1.0) > MASS_TOL:
-            raise ValueError(f"total mass {mass} != 1")
+        v = _grid_densities(grid, np.ravel(values)[None], 1)[0]
         edges = grid.x_min + np.arange(grid.n_cells + 1) * grid.dx
         cdf = np.concatenate(([0.0], np.cumsum(v) * grid.dx))
         return cls(edges, cdf, "grid")
@@ -115,6 +109,22 @@ def w1(a: Law1D, b: Law1D) -> float:
     return float(_segment_integrals(d0, d1, lengths).sum())
 
 
+def _grid_densities(grid: Grid1D, values, rows: int) -> np.ndarray:
+    """values as a float64 (rows, G) array of grid densities on grid,
+    rejected unless of that shape, finite and >= 0, with every row of unit
+    mass within MASS_TOL."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.shape != (rows, grid.n_cells):
+        raise ValueError("values length must equal the cell count")
+    if not (v.min(initial=0.0) >= 0 and v.max(initial=0.0) < math.inf):
+        raise ValueError("densities must be finite and >= 0")
+    mass = v.sum(axis=1) * grid.dx
+    off = np.abs(mass - 1.0) > MASS_TOL
+    if off.any():
+        raise ValueError(f"total mass {mass[off][0]} != 1")
+    return v
+
+
 def _segment_integrals(d0, d1, lengths):
     """Integral of |d| over segments where d is affine from d0 to d1 (arrays
     of one shape, lengths broadcast against them)."""
@@ -145,19 +155,11 @@ def _w1_atoms_vs_grid(atoms, grid: Grid1D, densities, weights) -> np.ndarray:
     about W1_CHUNK (draw, row, knot) elements.
     """
     x = np.asarray(atoms, dtype=np.float64)
-    v = np.asarray(densities, dtype=np.float64)
     wv = np.asarray(weights, dtype=np.float64)
     rows, m = x.shape
-    if v.shape != (rows, grid.n_cells):
-        raise ValueError("values length must equal the cell count")
-    if not (v.min(initial=0.0) >= 0 and v.max(initial=0.0) < math.inf):
-        raise ValueError("densities must be finite and >= 0")
+    v = _grid_densities(grid, densities, rows)
     if not np.isfinite(x).all():
         raise ValueError("atom positions must be finite")
-    mass = v.sum(axis=1) * grid.dx
-    off = np.abs(mass - 1.0) > MASS_TOL
-    if off.any():
-        raise ValueError(f"total mass {mass[off][0]} != 1")
     if not (np.all(wv >= 0) and np.all(np.abs(wv.sum(axis=1) - 1.0) <= MASS_TOL)):
         raise ValueError("atom weights must be finite, >= 0 and of total mass 1")
     edges = grid.x_min + np.arange(grid.n_cells + 1) * grid.dx
@@ -209,18 +211,11 @@ def _w1_atoms_vs_grid(atoms, grid: Grid1D, densities, weights) -> np.ndarray:
 
 def c1(t: float, row_sum_bound: float, k_w1inf: float) -> float:
     """Explicit pathwise coupling constant C1(t)."""
-    if t < 0 or row_sum_bound < 0 or k_w1inf < 0:
+    if not (t >= 0 and row_sum_bound >= 0 and k_w1inf >= 0):     # also rejects NaN
         raise ValueError("arguments must be >= 0")
     if row_sum_bound == 0:
         return 0.0
     return math.sqrt(2.0 / row_sum_bound) * (math.exp(2.0 * row_sum_bound * t * k_w1inf) - 1.0)
-
-
-def c2(t: float, moment_bound: float, row_sum_bound: float, k_sup: float) -> float:
-    """Explicit second-moment envelope C2(t)."""
-    if min(t, moment_bound, row_sum_bound, k_sup) < 0:
-        raise ValueError("arguments must be >= 0")
-    return math.sqrt(2.0 * moment_bound**2 + 2.0 * row_sum_bound**2 * k_sup**2 * t**2)
 
 
 @dataclass(frozen=True)
@@ -362,6 +357,8 @@ def independence_gap(w: SparseWeights, k: Kernel, laws: AgentLawSpec, grid: Grid
     """
     if n_replicas < 100:
         raise ValueError("need at least 100 replicas for a usable estimate")
+    if n_bootstrap < 2:
+        raise ValueError("need at least 2 bootstrap draws for a stderr")
     _check_inputs(w, k, laws, grid)
     scaling = check_scaling(w)
     traj, fibers = _run(w, k, laws, grid, [t_end], t_end, dt, master_seed, n_replicas, sigma)

@@ -269,7 +269,7 @@ def _central_lap(arr: np.ndarray, axis: int, dx: float, periodic: bool) -> np.nd
 
 
 def hierarchy_residual(t: LabeledTree, w: SparseWeights, f_series, k: Kernel,
-                       nu: float = 0.0, *, tau1=None, vel=None) -> ResidualReport:
+                       nu: float = 0.0, *, tau1=None) -> ResidualReport:
     """Defect of the observable evolution equation on computed snapshots.
 
         r = d/dt tau(T) + sum_i d/dx_i [ int K(x_i - z) tau(T+i)(..., z) dz ]
@@ -280,8 +280,8 @@ def hierarchy_residual(t: LabeledTree, w: SparseWeights, f_series, k: Kernel,
     lattice by attaching the velocity field to vertex i (integrating the
     new leaf against K is exactly the velocity of fiber xi), so no
     order+1 lattice is ever materialized.  Returns the L1 norm of r at the
-    middle snapshot.  A caller that already has tau(t, w, f1).values or
-    velocity(f1, w, k) of the middle snapshot f1 passes them as tau1 and vel.
+    middle snapshot.  A caller that already has tau(t, w, f1).values of the
+    middle snapshot f1 passes it as tau1.
     """
     if t.order + 1 > TAU_ORDER_CAP:
         raise ValueError(f"residual needs order + 1 <= {TAU_ORDER_CAP}")
@@ -307,8 +307,7 @@ def hierarchy_residual(t: LabeledTree, w: SparseWeights, f_series, k: Kernel,
     c2 = h1 / (h2 * (h1 + h2))
     r = c0 * tau0 + c1 * tau1 + c2 * tau2
 
-    if vel is None:
-        vel = velocity(f1, w, k)
+    vel = velocity(f1, w, k)
     for i in range(1, t.order + 1):
         grown = tau(t, w, f1, vertex_factors={i: vel}).values
         r = r + _central_diff(grown, axis=i - 1, dx=grid.dx, periodic=periodic)

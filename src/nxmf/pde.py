@@ -54,6 +54,8 @@ class Grid1D:
             raise ValueError("need at least 8 cells")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
+        if not math.isfinite(self.x_max - self.x_min):
+            raise ValueError("grid bounds must be finite")
         if self.topology not in ("line", "torus"):
             raise ValueError("topology must be 'line' or 'torus'")
 
@@ -145,20 +147,16 @@ def _nearest_image(d: np.ndarray, g: Grid1D) -> np.ndarray:
     return d - g.length * np.round(d / g.length)
 
 
-def _kernel_samples(k: Kernel, offsets: np.ndarray) -> np.ndarray:
-    return np.asarray(k.eval(offsets[:, None])[:, 0], dtype=np.float64)
-
-
 def _spectrum(g: Grid1D, k: Kernel) -> np.ndarray:
     """rfft of K sampled at the cell offsets the convolution needs: wrapped
     to the nearest image on the torus; -(G-1) dx .. (G-1) dx, zero-padded
     to 2G, on the line."""
     G = g.n_cells
-    dx = g.dx
     if g.topology == "torus":
-        return np.fft.rfft(_kernel_samples(k, _nearest_image(np.arange(G) * dx, g)))
-    off = np.arange(-(G - 1), G) * dx
-    return np.fft.rfft(_kernel_samples(k, off), n=2 * G)
+        off, n_fft = _nearest_image(np.arange(G) * g.dx, g), G
+    else:
+        off, n_fft = np.arange(-(G - 1), G) * g.dx, 2 * G
+    return np.fft.rfft(np.asarray(k.eval(off[:, None])[:, 0], dtype=np.float64), n=n_fft)
 
 
 class _Scratch(NamedTuple):
@@ -199,6 +197,13 @@ def _convolve(vals: np.ndarray, g: Grid1D, kh: np.ndarray, buf: _Scratch):
     return np.multiply(src, g.dx, out=buf.conv)
 
 
+def _field(vals: np.ndarray, g: Grid1D, a: tuple, kh: np.ndarray, buf: _Scratch) -> np.ndarray:
+    """The fiber velocity field W·(K∗f) on the cells: the CSR operator
+    a = (indptr, cols, values) applied across fibers to each row of vals
+    convolved with the kernel of spectrum kh (buf.conv is overwritten)."""
+    return _product(*a, _convolve(vals, g, kh, buf))
+
+
 def _check_operands(n_fibers: int, w: SparseWeights, k: Kernel):
     if w.n_agents != n_fibers:
         raise ValueError(f"{w.n_agents} weight rows for {n_fibers} fibers")
@@ -224,12 +229,12 @@ def _domain_mismatch(g: Grid1D, domain: Domain) -> tuple[str, str] | None:
 
 
 def velocity(f: FiberedDensity, w: SparseWeights, k: Kernel) -> np.ndarray:
-    """Velocity of every fiber on the cells, shape (n_fibers, G): the weight
-    matrix applied across fibers to the per-fiber kernel convolutions, by
-    the weights module's CSR product, as solve marches with."""
+    """Velocity of every fiber on the cells, shape (n_fibers, G): solve's
+    field W·(K∗f) with w's own rows, not lumped, so it is an independent
+    full-system reference for solve's lumped march."""
     _check_operands(f.n_fibers, w, k)
-    conv = _convolve(f.values, f.grid, _spectrum(f.grid, k), _scratch(f.n_fibers, f.grid))
-    return _product(w.indptr, w.cols0, w.values, conv)
+    return _field(f.values, f.grid, (w.indptr, w.cols0, w.values), _spectrum(f.grid, k),
+                  _scratch(f.n_fibers, f.grid))
 
 
 def cfl_limits(vmax: float, dx: float) -> float:
@@ -464,7 +469,7 @@ def solve(f0: FiberedDensity, w: SparseWeights, k: Kernel, nu: float,
     while state[1] < t_end - 1e-12:
         prev = state
         vals, time, leakage, clamp_total = prev
-        faces = _face_velocities(_product(*a, _convolve(vals, g, kh, buf)), g.topology, buf.faces)
+        faces = _face_velocities(_field(vals, g, a, kh, buf), g.topology, buf.faces)
         vmax = float(np.abs(faces, out=buf.lower).max())
         dt_ok = cfl_limits(vmax, dx)
         limit = dt_ok if vmax != 0 or nu <= 0 else 0.25 * dx**2 / nu

@@ -135,9 +135,7 @@ def pure_linear_kernel():
         eval=lambda x: -x,
         lipschitz=1.0,
         sup_norm=math.inf,
-        l1_norm=math.inf,
         div_sup=1.0,
-        zero_at_origin=True,
         domain=LINE,
         name="pure_linear",
     )

@@ -15,7 +15,6 @@ from nxmf import (
     Law1D,
     StabilityError,
     c1,
-    c2,
     gaussian_fibers,
     gen_class_permutation,
     gen_uniform,
@@ -132,6 +131,10 @@ class TestW1:
         v[3] = bad
         with pytest.raises(ValueError, match="finite"):
             Law1D.from_grid(Grid1D(0, 1, 8), v)
+
+    def test_no_atoms_rejected(self):
+        with pytest.raises(ValueError, match="at least one atom"):
+            Law1D.from_atoms([])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_atoms_rejected(self, bad):
@@ -426,6 +429,16 @@ class TestEstimatorGuards:
         with pytest.raises(ValueError, match="self_drift"):
             ESTIMATORS[estimator](w, k, laws, Grid1D(0.0, 2 * math.pi, 128, "torus"))
 
+    @pytest.mark.parametrize("n_bootstrap", [0, 1])
+    def test_too_few_bootstrap_draws_rejected_before_any_step(self, monkeypatch, n_bootstrap):
+        # the stderr of fewer than two draws is NaN, and so would be the tolerance
+        w = gen_class_permutation(8, 4, [1, 2])
+        laws = AgentLawSpec.spread(8, -1.0, 1.0, 0.5)
+        forbid_particle_steps(monkeypatch)
+        with pytest.raises(ValueError, match="bootstrap"):
+            independence_gap(w, linear_attraction(), laws, Grid1D(-6.0, 6.0, 64), 0.2, 0.05, 7,
+                             100, n_bootstrap=n_bootstrap)
+
     def test_snapshot_after_t_end_rejected_before_any_step(self, monkeypatch):
         w = gen_class_permutation(16, 4, [2, 3, 4, 1])
         laws = AgentLawSpec.spread(16, -1.0, 1.0, 0.4)
@@ -453,10 +466,6 @@ class TestConstants:
     def test_c1_at_zero(self):
         assert c1(0.0, 1.0, 1.0) == 0.0
 
-    def test_c2_at_zero(self):
-        m = 3.7
-        assert abs(c2(0.0, m, 1.0, 1.0) - math.sqrt(2) * m) < 1e-14
-
     def test_c1_closed_form(self):
         assert abs(c1(1.0, 1.0, 1.0) - math.sqrt(2.0) * (math.e**2 - 1.0)) < 1e-12
 
@@ -466,8 +475,13 @@ class TestConstants:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             c1(-1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            c2(1.0, -1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("at", range(3))
+    def test_nan_rejected(self, at):
+        args = [1.0, 1.0, 1.0]
+        args[at] = math.nan
+        with pytest.raises(ValueError, match=">= 0"):
+            c1(*args)
 
 
 class TestIndependenceGap:
@@ -488,7 +502,7 @@ class TestIndependenceGap:
 
     def test_nan_kernel_raises(self):
         nan_kernel = Kernel(dim=1, eval=lambda x: np.full_like(x, np.nan), lipschitz=1.0,
-                            sup_norm=1.0, l1_norm=1.0, div_sup=1.0, zero_at_origin=False)
+                            sup_norm=1.0, div_sup=1.0)
         w = gen_uniform(4, 1.0)
         laws = AgentLawSpec.spread(4, -1, 1, 0.5)
         with pytest.raises(StabilityError, match="non-finite"):

@@ -54,8 +54,7 @@ def exact_drift(w, k, positions):
 def odd_2d():
     """A custom odd kernel on the plane, K(x) = -x / (1 + |x|^2)."""
     return Kernel(dim=2, eval=lambda x: -x / (1.0 + (x * x).sum(axis=-1, keepdims=True)),
-                  lipschitz=1.0, sup_norm=0.5, l1_norm=math.inf, div_sup=2.0,
-                  zero_at_origin=True, odd=True)
+                  lipschitz=1.0, sup_norm=0.5, div_sup=2.0, odd=True)
 
 
 # kuramoto without its modes: these kernels check the entry path
@@ -388,8 +387,8 @@ class TestOddKernel:
     @pytest.mark.parametrize("k_eval", [lambda x: x**2, lambda x: -x + 1e-3])
     def test_not_odd_rejected(self, k_eval):
         with pytest.raises(ValueError, match="odd"):
-            Kernel(dim=1, eval=k_eval, lipschitz=1.0, sup_norm=1.0, l1_norm=1.0, div_sup=1.0,
-                   zero_at_origin=False, domain=LINE, odd=True)
+            Kernel(dim=1, eval=k_eval, lipschitz=1.0, sup_norm=1.0, div_sup=1.0, domain=LINE,
+                   odd=True)
 
     @pytest.mark.parametrize("modes", [
         ((np.sin, np.cos), (np.cos, np.sin)),                       # sin(x + y)
@@ -399,8 +398,8 @@ class TestOddKernel:
     ], ids=["wrong_sign", "missing_mode", "off_by_1e-9", "empty"])
     def test_modes_not_reproducing_eval_rejected(self, modes):
         with pytest.raises(ValueError, match="modes"):
-            Kernel(dim=1, eval=lambda x: -np.sin(x), lipschitz=1.0, sup_norm=1.0, l1_norm=4.0,
-                   div_sup=1.0, zero_at_origin=True, modes=modes)
+            Kernel(dim=1, eval=lambda x: -np.sin(x), lipschitz=1.0, sup_norm=1.0, div_sup=1.0,
+                   modes=modes)
 
     def test_presets_are_odd(self):
         assert kuramoto().odd and linear_attraction().odd and TestHodgkinHuxley().make().odd
@@ -423,8 +422,8 @@ class TestEvalIntoGuard:
         # a hook of the wrong sign, then hooks that differ from eval on some
         # probe points only: the sign of zero, where exp underflows, at NaN
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="eval_into"):
-            Kernel(dim=1, eval=_la_eval, lipschitz=1.0, sup_norm=1.0, l1_norm=1.0, div_sup=1.0,
-                   zero_at_origin=True, odd=True, eval_into=hook)
+            Kernel(dim=1, eval=_la_eval, lipschitz=1.0, sup_norm=1.0, div_sup=1.0, odd=True,
+                   eval_into=hook)
 
     def test_new_eval_needs_its_own_hook(self, rng):
         k = linear_attraction()
@@ -665,9 +664,20 @@ class TestDeclaredConstants:
         for k in kernels:
             assert dataclasses.replace(k) == k
         # the exact sup |a| / sqrt(2 e) and the slope 1 of a linear kernel pass
-        k = Kernel(dim=1, eval=lambda x: -x, lipschitz=1.0, sup_norm=math.inf,
-                   l1_norm=math.inf, div_sup=1.0, zero_at_origin=True)
+        k = Kernel(dim=1, eval=lambda x: -x, lipschitz=1.0, sup_norm=math.inf, div_sup=1.0)
         assert k.lipschitz == 1.0
+
+    @pytest.mark.parametrize("fname", ["lipschitz", "sup_norm", "div_sup"])
+    def test_nan_constant_rejected(self, fname):
+        # a NaN Lipschitz constant would pass the particle stability guard
+        with pytest.raises(ValueError, match=f"{fname} must be >= 0"):
+            dataclasses.replace(linear_attraction(), **{fname: math.nan})
+
+    def test_positional_arguments_rejected(self):
+        # the former positional layout (dim, eval, lipschitz, sup_norm, l1_norm,
+        # div_sup, zero_at_origin) would shift l1_norm into div_sup
+        with pytest.raises(TypeError):
+            Kernel(1, lambda x: -x, 1.0, math.inf, math.inf, 1.0, True)
 
     def test_nan_readings_only_skip(self):
         # NaN values are left to the particle guards; finite ones still count
@@ -675,8 +685,7 @@ class TestDeclaredConstants:
             return np.where(np.abs(x) < 1.0, np.nan, -x)
 
         with pytest.raises(ValueError, match="sup_norm"):
-            Kernel(dim=1, eval=k_eval, lipschitz=1.0, sup_norm=1.0, l1_norm=math.inf,
-                   div_sup=1.0, zero_at_origin=False)
+            Kernel(dim=1, eval=k_eval, lipschitz=1.0, sup_norm=1.0, div_sup=1.0)
 
 
 class TestHodgkinHuxley:

@@ -369,7 +369,7 @@ class TestStepTransport:
         w = gen_uniform(2, 1.0, include_diagonal=True)
         base = linear_attraction()
         k = dataclasses.replace(base, eval=lambda x: np.where(x == 0.0, bad, base.eval(x)),
-                                eval_into=None, zero_at_origin=False, odd=False,
+                                eval_into=None, odd=False,
                                 sup_norm=math.inf, lipschitz=math.inf, div_sup=math.inf)
         with np.errstate(invalid="ignore"), pytest.raises(CFLError, match="non-finite"):
             step(f, w, k, dt=1e-6)
@@ -468,7 +468,7 @@ class TestSolve:
         g = Grid1D(-3, 3, 32)
         f = gaussian_fibers(g, [0.0, 0.5], [0.5, 0.5])
         k = dataclasses.replace(linear_attraction(), eval=lambda x: np.full_like(x, math.nan),
-                                eval_into=None, zero_at_origin=False)
+                                eval_into=None)
         with pytest.raises(CFLError, match="non-finite"):
             solve(f, gen_uniform(2, 1.0), k, nu=0.0, t_end=0.1, output_times=[0.1])
 
@@ -816,3 +816,9 @@ class TestFiberedDensity:
             Grid1D(0, 1, 4)
         with pytest.raises(ValueError):
             Grid1D(1, 0, 16)
+
+    @pytest.mark.parametrize("x_min, x_max", [(0.0, math.inf), (-math.inf, 0.0),
+                                              (-1e308, 1e308)])
+    def test_non_finite_length_rejected(self, x_min, x_max):
+        with pytest.raises(ValueError, match="finite"):
+            Grid1D(x_min, x_max, 8)
