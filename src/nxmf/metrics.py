@@ -18,10 +18,9 @@ solve.
 
 The estimators compute their W1 distances in batches (_w1_atoms_vs_grid):
 each row of samples is sorted, its fiber validated and its knots merged
-once for the plain estimate and every bootstrap draw; a bootstrap draw's
-atoms of zero weight stay knots.  Each batched value is bitwise equal to
-w1 on the corresponding Law1D pair, zero weights included, which stays the
-public reference.
+once for the plain estimate and every bootstrap draw, with repeated knots
+and atoms of zero weight kept.  Each batched value is bitwise equal to w1
+on the corresponding Law1D pair, which stays the public reference.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ from .weights import SparseWeights, check_scaling
 
 MASS_TOL = 1e-9
 W1_CHUNK = 1 << 14     # (draw, row, knot) elements per block of the batched W1
+N_BOOTSTRAP = 64       # bootstrap draws behind an independence gap's stderr
 
 
 class Law1D:
@@ -92,11 +92,10 @@ def w1(a: Law1D, b: Law1D) -> float:
 
     Both CDFs are affine between merged breakpoints (constant for atom
     laws), so each segment integrates in closed form, splitting at the
-    sign change when the difference crosses zero.
+    sign change when the difference crosses zero.  Equal breakpoints stay
+    knots; the segment between them adds exactly 0.0.
     """
-    knots = np.unique(np.concatenate((a.breakpoints, b.breakpoints)))
-    if knots.size < 2:
-        return 0.0
+    knots = np.sort(np.concatenate((a.breakpoints, b.breakpoints)))
     fa = a.cdf(knots)
     fb = b.cdf(knots)
     lengths = np.diff(knots)
@@ -145,12 +144,13 @@ def _w1_atoms_vs_grid(atoms, grid: Grid1D, densities, weights) -> np.ndarray:
     Entry (d, r) is bitwise equal to w1(Law1D.from_atoms(atoms[r],
     weights[d]), Law1D.from_grid(grid, densities[r])): the same knots, CDF
     values and segment arithmetic, and one sum over the row's segments.
-    Atoms of zero weight stay knots, so the knots (sorted atoms and grid
-    edges, repeats dropped), the atoms below each knot, the grid CDF at the
-    knots and the segment lengths depend on the row alone.  They are set up
-    once for a block of about W1_CHUNK // (m + G + 1) rows, the rows of a
-    block with equal knot counts in one dense (row, knot) array.  The
-    segment pass then reads each draw's cumulative weights at the knots
+    The m + G + 1 knots (sorted atoms and grid edges, repeats and atoms of
+    zero weight kept), the atoms at or before each knot, the grid CDF at
+    the knots and the segment lengths depend on the row alone.  They are
+    set up once for a block of about W1_CHUNK // (m + G + 1) rows in one
+    dense (row, knot) array.  A knot's atom count is exact at the last of a
+    run of equal knots, the only place where a segment has positive length.
+    The segment pass then reads each draw's cumulative weights at the knots
     with one flat take, a few draws at a time, so that each pass holds
     about W1_CHUNK (draw, row, knot) elements.
     """
@@ -171,41 +171,27 @@ def _w1_atoms_vs_grid(atoms, grid: Grid1D, densities, weights) -> np.ndarray:
         b = xb.shape[0]
         cdf = np.zeros((b, edges.size))
         cdf[:, 1:] = np.cumsum(v[lo:lo + b], axis=1) * grid.dx
-        # per row: the sorted atoms merged with the edges; a knot is the first
-        # of each run of equal values, and the atoms <= it are counted at the
-        # run's end
+        # per row: the sorted atoms merged with the edges, and the atoms at
+        # or before each knot
         order = np.argsort(xb, axis=1, kind="stable")
         merged = np.concatenate((np.take_along_axis(xb, order, axis=1),
                                  np.broadcast_to(edges, (b, edges.size))), axis=1)
         morder = np.argsort(merged, axis=1, kind="stable")
-        merged = np.take_along_axis(merged, morder, axis=1)
-        first = np.ones(merged.shape, bool)
-        first[:, 1:] = merged[:, 1:] != merged[:, :-1]
-        last = np.ones(merged.shape, bool)
-        last[:, :-1] = first[:, 1:]
-        below = np.cumsum(morder < m, axis=1)
-        counts = first.sum(axis=1)
-        groups = []
-        for n_knots in np.unique(counts):          # rows with equal knot counts, dense
-            rs = np.flatnonzero(counts == n_knots)
-            knots = merged[rs][first[rs]].reshape(rs.size, n_knots)
-            # flat index of each segment's cumulative weight in a draw's (b, m + 1) block
-            at = below[rs][last[rs]].reshape(rs.size, n_knots)[:, :-1] + (m + 1) * rs[:, None]
-            fb = np.array([np.interp(kn, edges, cdf[r], left=0.0, right=1.0)
-                           for kn, r in zip(knots, rs)])
-            groups.append((lo + rs, at, fb[:, :-1], fb[:, 1:], np.diff(knots, axis=1)))
+        knots = np.take_along_axis(merged, morder, axis=1)
+        # flat index of each segment's cumulative weight in a draw's (b, m + 1) block
+        at = np.cumsum(morder < m, axis=1)[:, :-1] + (m + 1) * np.arange(b)[:, None]
+        fb = np.array([np.interp(kn, edges, c, left=0.0, right=1.0) for kn, c in zip(knots, cdf)])
+        fb0, fb1, lengths = fb[:, :-1], fb[:, 1:], np.diff(knots, axis=1)
         # per draw: the cumulative weights, in each row's atom order
         step = max(1, W1_CHUNK // (b * (m + edges.size)))
         for dlo in range(0, n_draws, step):
             wd = wv[dlo:dlo + step]
             cum = np.zeros((wd.shape[0], b, m + 1))
             np.cumsum(wd[:, order], axis=2, out=cum[..., 1:])
-            cum = cum.reshape(wd.shape[0], -1)
-            for rs, at, fb0, fb1, lengths in groups:
-                fa = np.take(cum, at, axis=1)
-                seg = _segment_integrals(fa - fb0, fa - fb1, lengths)
-                # over a contiguous last axis the sum is the 1-D sum w1 takes
-                out[dlo:dlo + step, rs] = seg.sum(axis=-1)
+            fa = np.take(cum.reshape(wd.shape[0], -1), at, axis=1)
+            seg = _segment_integrals(fa - fb0, fa - fb1, lengths)
+            # over a contiguous last axis the sum is the 1-D sum w1 takes
+            out[dlo:dlo + step, lo:lo + b] = seg.sum(axis=-1)
     return out
 
 
@@ -346,7 +332,7 @@ def _meanfield_reports(traj, snapshots, grid: Grid1D, times, scaling,
 
 def independence_gap(w: SparseWeights, k: Kernel, laws: AgentLawSpec, grid: Grid1D,
                      t_end: float, dt: float, master_seed: int, n_replicas: int,
-                     sigma: float = 0.0, n_bootstrap: int = 64) -> GapReport:
+                     sigma: float = 0.0, n_bootstrap: int = N_BOOTSTRAP) -> GapReport:
     """Largest per-agent W1 distance between the Monte Carlo law of X_i(t)
     and the corresponding solved fiber, against the explicit coupling bound
     C1(t) * sup|w_ij|^(1/2).
@@ -422,6 +408,7 @@ def convergence_gaps(w: SparseWeights, k: Kernel, laws: AgentLawSpec, grid: Grid
     times = sorted(set(snaps) | {float(t_end)})
     traj, fibers = _run(w, k, laws, grid, times, t_end, dt, master_seed, n_replicas, sigma)
     at = np.searchsorted(times, snaps)
-    return (_independence_report(traj[-1], fibers[-1], grid, t_end, scaling, k, master_seed, 64),
+    return (_independence_report(traj[-1], fibers[-1], grid, t_end, scaling, k, master_seed,
+                                  N_BOOTSTRAP),
             _meanfield_reports(traj[at, :n_seeds], [fibers[i] for i in at], grid, snaps,
                                scaling, k))

@@ -204,8 +204,8 @@ class HierarchyState:
 def hierarchy(w: SparseWeights, f: FiberedDensity, n_max: int, lam: float) -> HierarchyState:
     if not 1 <= n_max <= TAU_ORDER_CAP:
         raise ValueError(f"n_max must lie in 1..{TAU_ORDER_CAP}")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < math.inf:         # also rejects NaN
+        raise ValueError("lam must be finite and positive")
     obs = {}
     for order in range(1, n_max + 1):
         for t in enumerate_trees(order):
@@ -226,7 +226,9 @@ def lambda_admissible(lam: float, w: SparseWeights, f: FiberedDensity, k: Kernel
                       t_star: float) -> tuple[bool, float]:
     """Reports whether sqrt(lam) clears the single-pair admissibility
     threshold used by the hierarchy stability estimate (informational; the
-    norm itself is computed for any lam > 0)."""
+    norm itself is computed for any finite lam > 0)."""
+    if not (0 < lam < math.inf and 0 <= t_star < math.inf):       # also rejects NaN
+        raise ValueError("lam must be finite and positive, t_star finite and >= 0")
     wnorm = check_scaling(w).max_row_abs_sum
     l2 = float(np.sqrt((f.values ** 2).sum(axis=1).max() * f.grid.dx))
     if wnorm == 0 or l2 == 0:       # no coupling, or no density: no threshold

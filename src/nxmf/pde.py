@@ -50,6 +50,8 @@ class Grid1D:
     topology: str = "line"     # "line" | "torus"
 
     def __post_init__(self):
+        if not isinstance(self.n_cells, (int, np.integer)):
+            raise ValueError(f"n_cells must be an integer, not {self.n_cells!r}")
         if self.n_cells < 8:
             raise ValueError("need at least 8 cells")
         if not self.x_max > self.x_min:
@@ -284,16 +286,16 @@ def _diffuse(vals: np.ndarray, g: Grid1D, c: float, buf: _Scratch) -> np.ndarray
 
 
 def _step(vals: np.ndarray, g: Grid1D, dt: float, nu: float, out: np.ndarray,
-          buf: _Scratch, expand: np.ndarray | None = None):
+          buf: _Scratch, expand: np.ndarray):
     """One step for all marched fibers into out: explicit upwind advection
     with the face velocities in buf.faces (which the step overwrites), then
     implicit diffusion.
 
     Returns the advective outflow per fiber (line only), the clamped mass
     and the step's conservation defect, measured after diffusion and before
-    roundoff negatives are clamped to zero.  When vals holds one row per
-    class, expand (the class of every fiber) gives the clamped mass as the
-    sum over the full system, in its order.  Every operation is that of the
+    roundoff negatives are clamped to zero.  vals holds one row per class
+    and expand is the class of every fiber, so the clamped mass is the sum
+    over the full system, in its order.  Every operation is that of the
     array expressions up * vals + dn * roll(vals, -1) and flux - roll(flux,
     1) (torus), in the same order, so out is bitwise their result.
     """
@@ -329,8 +331,7 @@ def _step(vals: np.ndarray, g: Grid1D, dt: float, nu: float, out: np.ndarray,
     clamp = 0.0
     neg = np.less(new, 0.0, out=buf.neg)
     if neg.any():
-        full = new[neg] if expand is None else new[expand][neg[expand]]
-        clamp = float(-full.sum()) * dx
+        clamp = float(-new[expand][neg[expand]].sum()) * dx
         np.copyto(new, 0.0, where=neg)
     return leak, clamp, defect
 
@@ -373,15 +374,17 @@ def _fiber_classes(f: FiberedDensity, w: SparseWeights) -> np.ndarray:
         rows = np.flatnonzero(lengths == length)
         idx = w.indptr[rows, None] + np.arange(length)
         groups.append((rows, w.cols0[idx], w.values.view(np.int64)[idx]))
-    while n_classes < f.n_fibers:
+    while True:
         sub = np.empty_like(color)
         for rows, cols, bits in groups:
             sub[rows] = _row_classes(np.column_stack((color[rows], color[cols], bits)))
-        refined = _row_classes(np.column_stack((lengths, sub)))
-        if int(refined.max()) + 1 == n_classes:
-            break
-        color, n_classes = refined, int(refined.max()) + 1
-    return color
+        # labels follow first appearance, so a refinement that adds no class
+        # repeats them; one of singletons cannot refine further
+        color = _row_classes(np.column_stack((lengths, sub)))
+        refined = int(color.max()) + 1
+        if refined in (n_classes, f.n_fibers):
+            return color
+        n_classes = refined
 
 
 @dataclass
@@ -423,10 +426,11 @@ def solve(f0: FiberedDensity, w: SparseWeights, k: Kernel, nu: float,
     numbers in the same order as in the full system, the returned states
     are expanded to every fiber, and a clamped mass is summed over the
     expanded rows: snapshots, final state, step count and per-step mass
-    drift are bitwise those of the full march.
+    drift are bitwise those of the full march.  When no two fibers lump,
+    each fiber represents itself and the operator is w's own CSR.
     """
-    if t_end < 0:
-        raise ValueError("t_end must be >= 0")
+    if not 0 <= t_end < math.inf:          # also rejects NaN
+        raise ValueError("t_end must be finite and >= 0")
     if dt is not None and not dt > 0:
         raise ValueError("dt must be positive")
     if not nu >= 0:
@@ -435,26 +439,20 @@ def solve(f0: FiberedDensity, w: SparseWeights, k: Kernel, nu: float,
     targets = _output_times(output_times, t_end)
     g = f0.grid
     dx = g.dx
-    a = (w.indptr, w.cols0, w.values)       # the CSR operator the march applies
-    color = _fiber_classes(f0, w)
-    n_classes = int(color.max()) + 1
-    vals, leakage, expand = f0.values, f0.leakage, None
-    if n_classes < f0.n_fibers:
-        # one representative per class; its stored row, each column replaced
-        # by its class and duplicates kept in stored order, adds the same
-        # terms in the same order as the full row
-        reps = np.unique(color, return_index=True)[1]
-        starts, lengths = w.indptr[reps], np.diff(w.indptr)[reps]
-        ptr = np.concatenate(([0], np.cumsum(lengths)))
-        take = np.repeat(starts - ptr[:-1], lengths) + np.arange(ptr[-1])
-        a = (ptr, color[w.cols0[take]], w.values[take])
-        vals, leakage, expand = vals[reps], leakage[reps], color
+    expand = _fiber_classes(f0, w)
+    # one representative per class; its stored row, each column replaced by
+    # its class and duplicates kept in stored order, adds the same terms in
+    # the same order as the full row: the CSR operator the march applies
+    reps = np.unique(expand, return_index=True)[1]
+    starts, lengths = w.indptr[reps], np.diff(w.indptr)[reps]
+    ptr = np.concatenate(([0], np.cumsum(lengths)))
+    take = np.repeat(starts - ptr[:-1], lengths) + np.arange(ptr[-1])
+    a = (ptr, expand[w.cols0[take]], w.values[take])
+    vals, leakage = f0.values[reps], f0.leakage[reps]
 
     def density(vals, time, leakage, clamp_total):
-        if expand is None:
-            vals = vals.copy()          # the march reuses its state buffers
-        else:
-            vals, leakage = vals[expand], leakage[expand]
+        # expanding copies, so the march may reuse its state buffers
+        vals, leakage = vals[expand], leakage[expand]
         return FiberedDensity(grid=g, values=vals, time=time, initial_mass=f0.initial_mass,
                               leakage=leakage, clamp_total=clamp_total)
 

@@ -229,9 +229,10 @@ class TestBatchedW1:
         assert np.array_equal(bits(metrics._w1_atoms_vs_grid(x, g, v, wv)), bits(whole))
 
     def test_mixed_knot_counts_in_one_block(self):
-        # rows of 14, 10 and 9 knots (5 atoms, 9 edges); a chunk of 28 puts
-        # two rows of different counts in one set-up block, 42 all three,
-        # and 84 also passes two draws at a time
+        # rows of 14, 10 and 9 distinct knots, each 14 knots with repeats
+        # kept (5 atoms, 9 edges); a chunk of 28 puts two rows of different
+        # repeat counts in one set-up block, 42 all three, and 84 also
+        # passes two draws at a time
         g = Grid1D(0.0, 4.0, 8)
         x = np.array([[0.25, 0.75, 1.25, 1.75, 5.0],
                       [0.5, 0.5, 1.5, 2.5, -1.0],
@@ -245,6 +246,20 @@ class TestBatchedW1:
         for chunk in (1, 28, 42, 84, metrics.W1_CHUNK):
             with mock.patch.object(metrics, "W1_CHUNK", chunk):
                 assert np.array_equal(bits(metrics._w1_atoms_vs_grid(x, g, v, wv)), bits(ref))
+
+    @pytest.mark.parametrize("atoms, expected", [
+        ([0.0, 0.0, 1.0, 1.0], 0.25),
+        ([0.5] * 4, 0.25),
+        ([0.25, 0.25, 0.75, 0.75], 0.125),
+    ])
+    def test_repeated_knots_closed_form(self, atoms, expected):
+        # equal atoms, and atoms on grid edges, against the uniform law on
+        # [0, 1]: the integral of |CDF - x| in closed form
+        g = Grid1D(0.0, 1.0, 8)
+        v = np.ones(8)
+        assert w1(Law1D.from_atoms(atoms), Law1D.from_grid(g, v)) == expected
+        got = metrics._w1_atoms_vs_grid(np.array([atoms]), g, v[None], np.full((1, 4), 0.25))
+        assert got.tolist() == [[expected]]
 
     def test_setup_memory_bounded_by_chunk(self, rng):
         # the mean-field W1 of cli_readme: 600 rows of 64 atoms on 256 cells,

@@ -338,6 +338,25 @@ class TestHierarchy:
         w = gen_class_permutation(4, 2, [1, 2])
         assert lambda_admissible(1.0, w, f, linear_attraction(), t_star=1.0) == (True, math.inf)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_lam(self, rng, lam):
+        # a NaN lam would make hierarchy_norm 0.0 and read as inadmissible
+        g = Grid1D(-3, 3, 16)
+        f = random_fibers(rng, g, 3)
+        w = random_sparse_weights(rng, 3)
+        with pytest.raises(ValueError, match="lam"):
+            hierarchy(w, f, n_max=1, lam=lam)
+        with pytest.raises(ValueError, match="lam"):
+            lambda_admissible(lam, w, f, linear_attraction(), t_star=1.0)
+
+    @pytest.mark.parametrize("t_star", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_t_star(self, rng, t_star):
+        g = Grid1D(-3, 3, 16)
+        f = random_fibers(rng, g, 3)
+        w = random_sparse_weights(rng, 3)
+        with pytest.raises(ValueError, match="t_star"):
+            lambda_admissible(1.0, w, f, linear_attraction(), t_star=t_star)
+
 
 def _stencil_diff(arr, axis, dx, periodic):
     """Centered first difference written out slice by slice, one-sided at

@@ -456,6 +456,16 @@ class TestSolve:
         with pytest.raises(ValueError, match=match):
             solve(f, empty_weights(n_weights), k, nu=nu, t_end=0.0, output_times=[0.0], dt=dt)
 
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf])
+    def test_rejects_non_finite_t_end(self, rng, t_end):
+        # with a velocity to limit dt, inf would march forever; nan would
+        # return the initial state after no step
+        g = Grid1D(-3, 3, 32)
+        f = random_fibers(rng, g, 3)
+        w = random_sparse_weights(rng, 3)
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            solve(f, w, linear_attraction(), nu=0.0, t_end=t_end, output_times=[])
+
     def test_pure_diffusion_takes_more_than_one_step(self):
         g = Grid1D(-3, 3, 32)
         f = gaussian_fibers(g, [0.0, 0.5], [0.5, 0.5])
@@ -822,3 +832,14 @@ class TestFiberedDensity:
     def test_non_finite_length_rejected(self, x_min, x_max):
         with pytest.raises(ValueError, match="finite"):
             Grid1D(x_min, x_max, 8)
+
+    @pytest.mark.parametrize("cells", [8.5, 16.0, "16", None])
+    def test_non_integral_cell_count_rejected(self, cells):
+        # 8.5 cells would give dx = 1/8.5 but 9 centres
+        with pytest.raises(ValueError, match="n_cells"):
+            Grid1D(0.0, 1.0, cells)
+
+    def test_numpy_integer_cell_count_accepted(self):
+        g = Grid1D(0.0, 1.0, np.int64(16))
+        assert g.centers().size == 16
+        assert gaussian_fibers(g, [0.5], [0.1]).values.shape == (1, 16)
