@@ -4,7 +4,7 @@ coupled fibered transport equations they converge to, tree-indexed
 observables with their hierarchy, and measure-preserving rearrangements
 with quantitative convergence diagnostics."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .kernels import Domain, Kernel, hodgkin_huxley, kuramoto, linear_attraction
 from .metrics import AgentLawSpec, GapReport, Law1D, c1, independence_gap, meanfield_gap, w1

@@ -12,12 +12,16 @@ An optional self_drift carries uncoupled per-agent
 dynamics (used by the neuron preset); it plays no role in the interaction
 bounds, and only the particles carry it.
 
-Which particle drift runs is a property of the kernel.  A kernel with
-modes, pairs (a_r, b_r) of elementwise functions with
-K(x - y) = sum_r a_r(x) * b_r(y), takes the low-rank path: one sparse
-matvec per mode, with no per-entry evaluation of K (Kuramoto, through its
-order parameters).  Every other kernel takes the entry path, which
-evaluates K once per stored weight; there, a kernel declared odd
+Which particle drift and which transport field run is a property of the
+kernel.  A kernel may carry modes, one callable: modes(x) returns the pairs
+(a_r(x), b_r(x)), arrays of x's shape computed elementwise, with
+K(x - y) = sum_r a_r(x) * b_r(y), so work the factors share (Kuramoto's sin
+and cos) is done once per state.  With modes the particles take the
+low-rank path, one sparse matvec per mode and no per-entry evaluation of K
+(Kuramoto, through its order parameters), and the grid field is built
+from R fiber moments instead of an FFT convolution.  Every other kernel
+takes the entry path, which evaluates K once per stored weight, and the
+FFT convolution on the grid; on the entry path a kernel declared odd
 (K(-x) = -K(x) bitwise) lets the drift evaluate each unordered pair of a
 symmetric weight matrix once.  On the entry path a kernel may also carry
 eval_into(x, out, tmp), which writes eval(x) into out bit for bit, with
@@ -76,8 +80,8 @@ class Kernel:
     self_drift: Callable[[np.ndarray], np.ndarray] | None = field(default=None)
     name: str = "custom"
     odd: bool = False
-    # pairs (a_r, b_r) of elementwise functions, K(x - y) = sum_r a_r(x) * b_r(y)
-    modes: tuple | None = None
+    # modes(x) = ((a_1(x), b_1(x)), ...), arrays of x's shape, K(x - y) = sum_r a_r(x) * b_r(y)
+    modes: Callable[[np.ndarray], tuple] | None = None
     # eval_into(x, out, tmp): out[...] = eval(x) bitwise, tmp as scratch, x unchanged
     eval_into: Callable[[np.ndarray, np.ndarray, np.ndarray], None] | None = None
 
@@ -94,12 +98,17 @@ class Kernel:
             if not np.array_equal(v[p.shape[0]:], -v[:p.shape[0]], equal_nan=True):
                 raise ValueError("kernel flagged odd but K(-x) != -K(x)")
         if self.modes is not None:
-            if not self.modes:
-                raise ValueError("modes must hold at least one pair (a_r, b_r)")
             p = _MODE_PROBE[:, None] + 0.37 * np.arange(self.dim)
-            x, y = np.repeat(p, p.shape[0], axis=0), np.tile(p, (p.shape[0], 1))
-            k = np.asarray(self.eval(x - y))
-            lowrank = sum(a(x) * b(y) for a, b in self.modes)
+            pairs = self.modes(p)
+            if not pairs or not all(len(pair) == 2 and all(
+                    isinstance(f, np.ndarray) and f.shape == p.shape for f in pair)
+                    for pair in pairs):
+                raise ValueError("modes(x) must return at least one pair (a_r(x), b_r(x)) "
+                                 "of arrays of x's shape")
+            n = p.shape[0]
+            k = np.asarray(self.eval(np.repeat(p, n, axis=0) - np.tile(p, (n, 1))))
+            # lowrank[i n + j] = sum_r a_r(p_i) * b_r(p_j), K(p_i - p_j)'s row
+            lowrank = sum(a[:, None] * b[None] for a, b in pairs).reshape(k.shape)
             if not np.abs(lowrank - k).max() <= _MODES_RTOL * np.abs(k).max():
                 raise ValueError("kernel modes do not reproduce K(x - y)")
         if self.eval_into is not None:
@@ -147,24 +156,33 @@ def kuramoto(coupling: float = 1.0) -> Kernel:
     frequencies enter the particles through self_drift (e.g. a function
     returning the frequencies broadcast to the state's shape), which solve
     and the gap estimators reject; there are none by default.
-    Its modes, from sin(x - y) = sin x cos y - cos x sin y, turn the drift
-    into the local order parameters sum_j w_ij cos x_j and sum_j w_ij sin x_j.
+    A negative coupling gives the repulsive (desynchronizing) model; the
+    constants are |coupling|.  Its modes, from
+    sin(x - y) = sin x cos y - cos x sin y, turn the drift into the local
+    order parameters sum_j w_ij cos x_j and sum_j w_ij sin x_j, and the
+    transport field into the fiber moments of cos and sin; sin x and cos x
+    are evaluated once per call.
     """
     c = float(coupling)
+    size = abs(c)
 
     def k_eval(x):
         return -c * np.sin(x)
 
+    def k_modes(x):
+        s, co = np.sin(x), np.cos(x)
+        return (-c * s, co), (c * co, s)
+
     return Kernel(
         dim=1,
         eval=k_eval,
-        lipschitz=c,
-        sup_norm=c,
-        div_sup=c,
+        lipschitz=size,
+        sup_norm=size,
+        div_sup=size,
         domain=Domain("torus", 2.0 * math.pi),
         name="kuramoto",
         odd=True,
-        modes=((lambda x: -c * np.sin(x), np.cos), (lambda x: c * np.cos(x), np.sin)),
+        modes=k_modes,
     )
 
 

@@ -4,9 +4,10 @@ Integrates dX_i = sum_j w_ij K(X_i - X_j) dt (+ optional self dynamics)
 + sigma dB_i for a batch of replicas with one explicit integrator,
 `integrate`.  The drift, `drift_batch`, takes one of two paths, chosen by
 the kernel:
-- a kernel with modes (Kuramoto) takes the low-rank path: per mode one
-  sparse matvec w @ b_r(X) and one product with a_r(X), so K is never
-  evaluated per entry and the transcendental work is O(N R), not O(nnz R);
+- a kernel with modes (Kuramoto) takes the low-rank path: one call of
+  k.modes(X) for every factor, then per mode one sparse matvec w @ b_r(X)
+  and one product with a_r(X), so K is never evaluated per entry and the
+  transcendental work is O(N R), not O(nnz R);
 - every other kernel takes the entry path, which evaluates K on each stored
   weight entry (each unordered pair once for a symmetric w and an odd K),
   O(nnz R).  K is evaluated one block of entries at a time and summed into
@@ -132,9 +133,10 @@ def drift_batch(w, k, positions, scratch=None):
     """Drift for a stack of independent replicas, shape (R, N, d).
 
     With k.modes the drift is sum_r a_r(X) * (w @ b_r(X)) on the (N, R d)
-    by-agent layout X, with no per-entry work; it matches the entry path
-    to rounding, not bitwise.  Each column of the matvec adds its row's
-    entries in stored order, so the result is bitwise independent of R.
+    by-agent layout X, with the factors from one k.modes(X) call and no
+    per-entry work; it matches the entry path to rounding, not bitwise.
+    Each column of the matvec adds its row's entries in stored order, so
+    the result is bitwise independent of R.
 
     On the entry path work is entry-major and blocked: DRIFT_BLOCK // (R d)
     plan entries at a time are gathered, subtracted and passed through
@@ -156,8 +158,8 @@ def drift_batch(w, k, positions, scratch=None):
     if k.modes is not None:
         x = by_agent.reshape(n, r * d)
         total = None
-        for a_r, b_r in k.modes:
-            term = a_r(x) * _product(w.indptr, w.cols0, w.values, b_r(x))
+        for a_r, b_r in k.modes(x):
+            term = a_r * _product(w.indptr, w.cols0, w.values, b_r)
             total = term if total is None else total + term
         return total.reshape(n, r, d).transpose(1, 0, 2)
     plan = _drift(w, k, r, d) if scratch is None else scratch

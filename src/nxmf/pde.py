@@ -149,11 +149,18 @@ def _nearest_image(d: np.ndarray, g: Grid1D) -> np.ndarray:
     return d - g.length * np.round(d / g.length)
 
 
-def _spectrum(g: Grid1D, k: Kernel) -> np.ndarray:
-    """rfft of K sampled at the cell offsets the convolution needs: wrapped
-    to the nearest image on the torus; -(G-1) dx .. (G-1) dx, zero-padded
-    to 2G, on the line."""
+def _spectrum(g: Grid1D, k: Kernel) -> np.ndarray | tuple:
+    """K on the grid as _field takes it, built once per solve or velocity
+    call.  For a kernel with modes, the (R, G) factor arrays (A, B) of one
+    k.modes call at the cell centres x_c: A[r, c] = a_r(x_c) and
+    B[r, c] = b_r(x_c) dx.  Otherwise the rfft of K sampled at the cell
+    offsets the convolution needs: wrapped to the nearest image on the
+    torus; -(G-1) dx .. (G-1) dx, zero-padded to 2G, on the line."""
     G = g.n_cells
+    if k.modes is not None:
+        pairs = k.modes(g.centers()[:, None])
+        return (np.stack([a[:, 0] for a, _ in pairs]),
+                np.stack([b[:, 0] * g.dx for _, b in pairs]))
     if g.topology == "torus":
         off, n_fft = _nearest_image(np.arange(G) * g.dx, g), G
     else:
@@ -167,7 +174,7 @@ class _Scratch(NamedTuple):
     padding for the convolution, even extension for the diffusion); F is
     the face count: G on the torus, G + 1 on the line."""
 
-    conv: np.ndarray       # (n, G) kernel convolution; wide itself on the torus
+    conv: np.ndarray       # (n, G) convolution or modes field; wide itself on the torus
     wide: np.ndarray       # (n, P) real FFT operand
     spec: np.ndarray       # (n, P // 2 + 1) its spectrum
     faces: np.ndarray      # (n, F) face velocities, then the upwind flux
@@ -199,10 +206,23 @@ def _convolve(vals: np.ndarray, g: Grid1D, kh: np.ndarray, buf: _Scratch):
     return np.multiply(src, g.dx, out=buf.conv)
 
 
-def _field(vals: np.ndarray, g: Grid1D, a: tuple, kh: np.ndarray, buf: _Scratch) -> np.ndarray:
-    """The fiber velocity field W·(K∗f) on the cells: the CSR operator
-    a = (indptr, cols, values) applied across fibers to each row of vals
-    convolved with the kernel of spectrum kh (buf.conv is overwritten)."""
+def _field(vals: np.ndarray, g: Grid1D, a: tuple, kh, buf: _Scratch) -> np.ndarray:
+    """The fiber velocity field W·(K∗f) on the cells, for the CSR operator
+    a = (indptr, cols, values) acting across fibers and kh from _spectrum
+    on the same grid (buf.conv is overwritten).
+
+    With modes, kh = (A, B) and (K∗f)_i(x_c) = sum_r A[r, c] M_r[i], with
+    the fiber moments M_r[i] = sum_c' vals[i, c'] B[r, c'], so the field is
+    sum_r A[r, c] (W M_r)_i: w acts on R columns, not G, and the result is
+    written into buf.conv.  The einsums (never BLAS, whose row results
+    depend on the row count) compute each row from that row alone, as
+    solve's lumping needs.  Otherwise each row of vals is convolved by FFT
+    (_convolve) and w acts on the G columns.
+    """
+    if isinstance(kh, tuple):
+        A, B = kh
+        moments = _product(*a, np.einsum("ic,rc->ir", vals, B))
+        return np.einsum("ir,rc->ic", moments, A, out=buf.conv)
     return _product(*a, _convolve(vals, g, kh, buf))
 
 
@@ -233,7 +253,9 @@ def _domain_mismatch(g: Grid1D, domain: Domain) -> tuple[str, str] | None:
 def velocity(f: FiberedDensity, w: SparseWeights, k: Kernel) -> np.ndarray:
     """Velocity of every fiber on the cells, shape (n_fibers, G): solve's
     field W·(K∗f) with w's own rows, not lumped, so it is an independent
-    full-system reference for solve's lumped march."""
+    full-system reference for solve's lumped march.  For a kernel with
+    modes it is built from the fiber moments of the modes (see _field) and
+    matches the FFT convolution of K to rounding."""
     _check_operands(f.n_fibers, w, k)
     return _field(f.values, f.grid, (w.indptr, w.cols0, w.values), _spectrum(f.grid, k),
                   _scratch(f.n_fibers, f.grid))
@@ -411,12 +433,14 @@ def solve(f0: FiberedDensity, w: SparseWeights, k: Kernel, nu: float,
     dt is auto-selected as SAFETY times the advective CFL bound unless given
     explicitly (then it is validated each step); with no advection and
     nu > 0 the bound is the cell diffusion time 0.25*dx^2/nu.  The march
-    works on raw arrays; the kernel spectrum is computed once per call, the
-    velocity once per step, and a FiberedDensity (validated) is built only
-    for the returned states.  Each step writes into buffers allocated once
-    per call (ufunc and FFT out= arguments, two state arrays used in turn),
-    with the operations of the array expressions they stand for in the same
-    order, so no output bit depends on them.
+    works on raw arrays; the kernel on the grid (_spectrum: the FFT
+    spectrum, or for a kernel with modes one k.modes call at the cell
+    centres) is built once per call, the velocity once per step, and a
+    FiberedDensity (validated) is built only for the returned states.
+    Each step writes into buffers allocated once per call (ufunc, einsum
+    and FFT out= arguments, two state arrays used in turn), with the
+    operations of the array expressions they stand for in the same order,
+    so no output bit depends on them.
 
     The march is lumped exactly.  Fibers with bitwise-equal values and
     leakage whose weight rows list the same (class of column, weight)

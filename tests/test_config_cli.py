@@ -363,6 +363,14 @@ class TestCli:
         assert main([command, "--config", str(bad), "--out", str(tmp_path / "bad")]) == 2
         assert "grid.topology" in capsys.readouterr().err
 
+    def test_repulsive_kuramoto_solves(self, tmp_path):
+        # a negative coupling declares |coupling| for the kernel's constants
+        path = tmp_path / "repulsive.json"
+        path.write_text(json.dumps(mutate("kernel.coupling", -1.0, base=TORUS)))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        assert json.loads((out / "conservation.json").read_text())["n_steps"] > 0
+
     def test_non_finite_config_exit_code(self, tmp_path, capsys):
         # json reads the Infinity literal; an infinite t_end must not start a solve
         path = tmp_path / "inf.json"

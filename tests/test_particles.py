@@ -357,6 +357,28 @@ class TestLowRankDrift:
         bound = check_scaling(w).max_row_abs_sum * k.sup_norm
         assert 0 < np.abs(low_rank - entries).max() <= 1e-14 * bound
 
+    @pytest.mark.parametrize("path", ["low_rank", "entries"])
+    def test_repulsive_coupling_negates_drift(self, rng, path):
+        # kuramoto(-1) declares |c| for its constants, and K flips sign exactly
+        make = kuramoto if path == "low_rank" else (
+            lambda c: dataclasses.replace(kuramoto(c), modes=None))
+        w = random_symmetric_weights(rng, 20, 0.5)
+        x = rng.uniform(0.0, 2 * math.pi, (3, 20, 1))
+        rep, att = make(-1.0), make(1.0)
+        assert (rep.lipschitz, rep.sup_norm, rep.div_sup) == (1.0, 1.0, 1.0)
+        assert np.array_equal(drift_batch(w, rep, x), -drift_batch(w, att, x))
+
+    def test_modes_called_once_per_drift(self, rng):
+        k = kuramoto(0.8)
+        spy = mock.Mock(wraps=k.modes)
+        counted = dataclasses.replace(k, modes=spy)
+        spy.reset_mock()                    # the constructor's check called it once
+        w = random_sparse_weights(rng, 12, 0.5)
+        x = rng.uniform(0.0, 2 * math.pi, (5, 12, 1))
+        got = drift_batch(w, counted, x)
+        assert spy.call_count == 1
+        assert np.array_equal(got, drift_batch(w, k, x))
+
     def test_integrate_allocates_no_scratch(self, rng):
         w = random_sparse_weights(rng, 6)
         with mock.patch.object(particles, "_drift", side_effect=AssertionError):
@@ -391,15 +413,29 @@ class TestOddKernel:
                    odd=True)
 
     @pytest.mark.parametrize("modes", [
-        ((np.sin, np.cos), (np.cos, np.sin)),                       # sin(x + y)
-        ((lambda x: -np.sin(x), np.cos),),                          # one mode missing
-        ((lambda x: -np.sin(x), np.cos), (lambda x: (1 + 1e-9) * np.cos(x), np.sin)),
-        (),
+        lambda x: ((np.sin(x), np.cos(x)), (np.cos(x), np.sin(x))),          # sin(x + y)
+        lambda x: ((-np.sin(x), np.cos(x)),),                                 # one mode missing
+        lambda x: ((-np.sin(x), np.cos(x)), ((1 + 1e-9) * np.cos(x), np.sin(x))),
+        lambda x: (),
     ], ids=["wrong_sign", "missing_mode", "off_by_1e-9", "empty"])
     def test_modes_not_reproducing_eval_rejected(self, modes):
         with pytest.raises(ValueError, match="modes"):
             Kernel(dim=1, eval=lambda x: -np.sin(x), lipschitz=1.0, sup_norm=1.0, div_sup=1.0,
                    modes=modes)
+
+    @pytest.mark.parametrize("modes", [
+        lambda x: ((-x, 1.0), (1.0, x)),                     # a constant factor as a scalar
+        lambda x: ((-x, np.ones_like(x)), (np.ones(1), x)),  # a factor of the wrong shape
+        lambda x: ((-x, np.ones_like(x), x),),               # not a pair
+        lambda x: None,
+    ], ids=["scalar_factor", "wrong_shape", "triple", "none"])
+    def test_modes_returning_no_arrays_of_x_shape_rejected(self, modes):
+        # K(x - y) = (-x) * 1 + 1 * y, once each factor is an array of x's shape
+        make = lambda modes: Kernel(dim=1, eval=lambda x: -x, lipschitz=1.0,
+                                    sup_norm=math.inf, div_sup=1.0, modes=modes)
+        assert make(lambda x: ((-x, np.ones_like(x)), (np.ones_like(x), x))).modes is not None
+        with pytest.raises(ValueError, match="modes"):
+            make(modes)
 
     def test_presets_are_odd(self):
         assert kuramoto().odd and linear_attraction().odd and TestHodgkinHuxley().make().odd

@@ -209,16 +209,47 @@ class TestVelocity:
         assert np.abs(v[0] - (-(g.centers() - y0))).max() < 1e-12
         assert np.all(v[1] == 0.0)
 
-    @pytest.mark.parametrize("topology", ["line", "torus"])
-    def test_fft_matches_direct(self, rng, topology):
-        # with identity weights the velocity is each fiber's own convolution
+    @pytest.mark.parametrize("topology,make", [
+        ("line", linear_attraction),
+        ("torus", kuramoto),
+        ("torus", lambda: dataclasses.replace(kuramoto(), modes=None)),
+    ], ids=["line", "torus", "torus_fft"])
+    def test_fft_matches_direct(self, rng, topology, make):
+        # with identity weights the velocity is each fiber's own convolution;
+        # kuramoto's field comes from its modes, without them from the FFT
         span = (0.0, 2 * math.pi) if topology == "torus" else (-6.0, 6.0)
         g = Grid1D(span[0], span[1], 96, topology=topology)
-        k = kuramoto() if topology == "torus" else linear_attraction()
+        k = make()
         f = FiberedDensity(grid=g, values=rng.random((5, 96)))
         a = direct_convolution(f, k)
         b = velocity(f, gen_class_permutation(5, 1, range(1, 6)), k)
         assert np.abs(a - b).max() <= 1e-10
+
+    @pytest.mark.parametrize("coupling", [1.0, -0.6])
+    def test_modes_field_matches_fft(self, rng, coupling):
+        # the moments of the modes and the FFT convolution agree to rounding
+        g = Grid1D(0.0, 2 * math.pi, 128, topology="torus")
+        f = random_fibers(rng, g, 9)
+        w = random_sparse_weights(rng, 9, 0.5, 3.0)
+        k = kuramoto(coupling)
+        modes, fft = velocity(f, w, k), velocity(f, w, dataclasses.replace(k, modes=None))
+        assert 0 < np.abs(modes - fft).max() <= 1e-14 * velocity_bound(f, w, k)
+
+    def test_modes_field_closed_form_on_line(self):
+        # K(x - y) = -(x - y) = (-x) * 1 + 1 * y; the delta fiber case of
+        # test_delta_fiber_linear_kernel through the modes path
+        k = dataclasses.replace(pure_linear_kernel(),
+                                modes=lambda x: ((-x, np.ones_like(x)), (np.ones_like(x), x)))
+        g = Grid1D(-4, 4, 128)
+        vals = np.zeros((2, 128))
+        c0 = 96
+        vals[1, c0] = 1.0 / g.dx
+        vals[0, 10] = 1.0 / g.dx
+        f = FiberedDensity(grid=g, values=vals)
+        v = velocity(f, SparseWeights.from_entries(2, [(1, 2, 1.0)]), k)
+        y0 = g.centers()[c0]
+        assert np.abs(v[0] - (-(g.centers() - y0))).max() < 1e-12
+        assert np.all(v[1] == 0.0)
 
     def test_mismatch_rejected(self, rng):
         g = Grid1D(-2, 2, 16)
@@ -434,6 +465,16 @@ class TestSolve:
             assert res.final.leakage.max() > 0.0
         if nu > 0:
             assert res.final.clamp_total > 0.0
+
+    def test_modes_evaluated_once_per_call(self, rng):
+        f, w, k = march_inputs(rng, "torus")
+        spy = mock.Mock(wraps=k.modes)
+        counted = dataclasses.replace(k, modes=spy)
+        spy.reset_mock()                    # the constructor's check called it once
+        res = solve(f, w, counted, nu=0.01, t_end=0.5, output_times=[0.25, 0.5])
+        assert res.n_steps > 1 and spy.call_count == 1
+        velocity(f, w, counted)
+        assert spy.call_count == 2
 
     def test_t_end_zero(self, rng):
         g = Grid1D(-3, 3, 32)
