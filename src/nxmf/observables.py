@@ -12,8 +12,10 @@ the root, each child contributing a sparse matrix-vector product across
 the fiber index.  The cell measure 1/N of the fiber interval cancels the N
 in the piecewise-constant graphon normalization, so each message crosses
 an edge by the raw sparse weight action -- apply no additional scaling.
-The root sums its message over fibers a bounded block at a time, so an
-order-m lattice on G cells takes O(N G^(m-1) + G^m) memory, not O(N G^m).
+The root never forms its own message either: the lattice is one
+contraction over the fiber index of the root's factor and its children's
+messages, so an order-m lattice on G cells takes O(N G^(m-1) + G^m)
+memory and N G^m multiply-adds, and the budget counts those entries.
 
 The reference for these values is the literal N^m index sum; that
 brute-force oracle lives in the tests.
@@ -33,11 +35,10 @@ from .weights import SparseWeights, check_scaling, kernel_apply
 
 TAU_ORDER_CAP = 4
 DENSITY_ORDER_CAP = 8
-# tau still counts n_fibers * G^order entries against the budget, the size
-# of the fiber-by-lattice array it no longer forms, so the same lattices
-# are rejected.
+# tau counts n_fibers * G^(order-1) + G^order entries against the budget:
+# the largest message a vertex sends, and the lattice.
 DEFAULT_BUDGET = 1 << 26
-ROOT_BLOCK = 1 << 18              # entries of one block of tau's root message
+ROOT_BLOCK = 1 << 18              # entries of one block of the root's head
 
 
 class LatticeBudgetError(MemoryError):
@@ -49,7 +50,7 @@ class LatticeBudgetError(MemoryError):
 # ---------------------------------------------------------------------------
 
 def _check_budget(n_fibers: int, g_cells: int, order: int):
-    need = n_fibers * g_cells**order
+    need = n_fibers * g_cells ** (order - 1) + g_cells**order
     if need > DEFAULT_BUDGET:
         raise LatticeBudgetError(
             f"lattice evaluation needs {need} entries (> budget {DEFAULT_BUDGET}); "
@@ -120,13 +121,22 @@ def tau(t: LabeledTree, w: SparseWeights, f: FiberedDensity,
     vertex_factors optionally multiplies vertex v's per-fiber profile by an
     extra (n_fibers, G) factor; the hierarchy residual uses this to fold
     the kernel contraction of a grown tree back onto the original lattice.
+
+    The lattice is the fiber mean of the root's message, contracted over
+    the fiber index without forming that message, each entry adding its
+    n_fibers terms in fiber order.  Raises LatticeBudgetError when the
+    largest message a vertex sends plus the lattice exceeds DEFAULT_BUDGET.
     """
     if t.order > TAU_ORDER_CAP:
         raise ValueError(f"tau lattice evaluation capped at order {TAU_ORDER_CAP}")
     if w.n_agents != f.n_fibers:
         raise ValueError("weights and density disagree on the fiber count")
-    _check_budget(f.n_fibers, f.grid.n_cells, t.order)
     factors = vertex_factors or {}
+    if not all(v in range(1, t.order + 1) and np.shape(a) == f.values.shape
+               for v, a in factors.items()):
+        raise ValueError(f"vertex_factors must map vertices 1..{t.order} to arrays "
+                         f"of shape {f.values.shape} (n_fibers, G)")
+    _check_budget(f.n_fibers, f.grid.n_cells, t.order)
 
     def leaf_of(v):
         base = f.values
@@ -135,26 +145,30 @@ def tau(t: LabeledTree, w: SparseWeights, f: FiberedDensity,
         return base
 
     leaf, sent, var_order = _messages_root(t, w, leaf_of)
-    # The fiber mean of the root message, formed ROOT_BLOCK entries at a
-    # time.  Its rows have G >= 8 entries (Grid1D), so add.reduce along
-    # axis 0 adds them in order (rows of one entry would be summed
-    # pairwise); putting the running sum into each block's first row
-    # (a + b == b + a) then gives the bits of the whole message's
-    # mean(axis=0).
-    step = max(1, ROOT_BLOCK // f.grid.n_cells ** t.order)
-    total = None
-    for lo in range(0, f.n_fibers, step):
-        blk = leaf[lo:lo + step]
-        for s in sent:
-            blk = _outer(blk, s[lo:lo + step])
-        if not sent:
-            blk = blk.copy()        # a view of the caller's fibers
-        if total is not None:
-            blk[0] += total
-        total = np.add.reduce(blk, axis=0)
-        del blk                     # one block alive at a time
-    lattice = total / f.n_fibers
-    # transpose trailing axes from message order to vertex-label order
+    n, g = leaf.shape
+    if not sent:
+        lattice = np.add.reduce(leaf, axis=0) / n
+    else:
+        # The root message is head (x) last per fiber, head being the root's
+        # factor times every child message but the last.  einsum without
+        # optimize adds each entry's terms in fiber order, as the message's
+        # mean(axis=0) does; BLAS (@, dot, optimize=True) would not, nor
+        # einsum on two single columns (last has G >= 8, Grid1D).  head is
+        # formed a block of leaf cells at a time, filling whole lattice rows.
+        *inner, last = sent
+        width = math.prod(s[0].size for s in inner)
+        last = last.reshape(n, -1)
+        lattice = np.empty((g * width, last.shape[1]))
+        step = max(1, ROOT_BLOCK // (n * width)) if inner else g
+        for lo in range(0, g, step):
+            head = leaf[:, lo:lo + step]
+            for s in inner:
+                head = _outer(head, s)
+            np.einsum("zp,zq->pq", head.reshape(n, -1), last,
+                      out=lattice[lo * width:(lo + step) * width])
+        lattice /= n
+    lattice = lattice.reshape((g,) * t.order)
+    # transpose axes from message order to vertex-label order
     perm = np.argsort(np.asarray(var_order))
     lattice = np.transpose(lattice, axes=tuple(perm))
     return Observable(tree=t, grid=f.grid, values=lattice)
@@ -287,6 +301,8 @@ def hierarchy_residual(t: LabeledTree, w: SparseWeights, f_series, k: Kernel,
     """
     if t.order + 1 > TAU_ORDER_CAP:
         raise ValueError(f"residual needs order + 1 <= {TAU_ORDER_CAP}")
+    if not 0 <= nu < math.inf:          # also rejects NaN
+        raise ValueError("nu must be finite and >= 0")
     snaps = list(f_series)
     if len(snaps) < 3:
         raise ValueError("need at least 3 snapshots")
@@ -294,28 +310,37 @@ def hierarchy_residual(t: LabeledTree, w: SparseWeights, f_series, k: Kernel,
     f0, f1, f2 = snaps[mid - 1], snaps[mid], snaps[mid + 1]
     t0, t1, t2 = f0.time, f1.time, f2.time
     h1, h2 = t1 - t0, t2 - t1
-    if h1 <= 0 or h2 <= 0:
+    if not (h1 > 0 and h2 > 0):         # also rejects NaN
         raise ValueError("snapshots must be strictly increasing in time")
     grid = f1.grid
+    if not f0.grid == grid == f2.grid:
+        raise ValueError("the three snapshots must share one grid")
+    if tau1 is not None and np.shape(tau1) != (grid.n_cells,) * t.order:
+        raise ValueError(f"tau1 must have shape {(grid.n_cells,) * t.order}")
     periodic = grid.topology == "torus"
 
-    tau0 = tau(t, w, f0).values
-    if tau1 is None:
-        tau1 = tau(t, w, f1).values
-    tau2 = tau(t, w, f2).values
-    # non-uniform three-point first derivative at t1
+    # non-uniform three-point first derivative at t1, summed in place:
+    # r = c0*tau0 + c1*tau1 + c2*tau2, then each term below in turn
     c0 = -h2 / (h1 * (h1 + h2))
     c1 = (h2 - h1) / (h1 * h2)
     c2 = h1 / (h2 * (h1 + h2))
-    r = c0 * tau0 + c1 * tau1 + c2 * tau2
+    r = tau(t, w, f0).values
+    r *= c0
+    if tau1 is None:
+        tau1 = tau(t, w, f1).values
+    r += c1 * tau1
+    tau2 = tau(t, w, f2).values
+    tau2 *= c2
+    r += tau2
+    del tau2
 
     vel = velocity(f1, w, k)
     for i in range(1, t.order + 1):
         grown = tau(t, w, f1, vertex_factors={i: vel}).values
-        r = r + _central_diff(grown, axis=i - 1, dx=grid.dx, periodic=periodic)
+        r += _central_diff(grown, axis=i - 1, dx=grid.dx, periodic=periodic)
     if nu > 0:
         for i in range(1, t.order + 1):
-            r = r - nu * _central_lap(tau1, axis=i - 1, dx=grid.dx, periodic=periodic)
+            r -= nu * _central_lap(tau1, axis=i - 1, dx=grid.dx, periodic=periodic)
 
     value = float(np.abs(r).sum()) * grid.dx ** t.order
     return ResidualReport(value=value, dt=0.5 * (h1 + h2), dx=grid.dx, field=r)

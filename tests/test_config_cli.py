@@ -449,15 +449,17 @@ class TestCli:
 
     def test_value_error_from_real_input(self, tmp_path, capsys):
         # n_max = 4 passes config validation, then the order-4 lattice
-        # (8 fibers x 64^4 cells) exceeds the evaluation budget
+        # (8 fibers x 96^3 message entries + 96^4 lattice entries) exceeds
+        # the evaluation budget
         doc = copy.deepcopy(GOLDEN)
+        doc["grid"]["cells"] = 96
         doc["observables"] = {"n_max": 4, "lambda": 1.0}
         path = tmp_path / "big.json"
         path.write_text(json.dumps(doc))
         assert main(["observe", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert err.startswith("bad input: [observe] lattice evaluation needs 134217728 entries")
+        assert err.startswith("bad input: [observe] lattice evaluation needs 92012544 entries")
         assert not (tmp_path / "o" / "manifest.json").exists()
 
     def test_uncreatable_out_dir_exit_code(self, config_file, tmp_path, capsys):

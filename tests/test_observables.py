@@ -92,12 +92,13 @@ class TestTau:
                     b = tau_dense_reference(t, w, f).values
                     assert np.abs(a - b).max() <= 1e-12
 
-    @pytest.mark.parametrize("block", [1, 8, observables.ROOT_BLOCK])
+    @pytest.mark.parametrize("block", [1, 8, 1000, observables.ROOT_BLOCK])
     @pytest.mark.parametrize("n", [1, 3, 40, 300])
     @pytest.mark.parametrize("cells", [8, 9, 33])
     def test_blocked_root_sum_is_full_message_mean(self, rng, monkeypatch, block, n, cells):
-        # one fiber per block, a few fibers per block, and the default;
-        # lattices whose full root message the oracle cannot hold are left out
+        # head blocks of one leaf cell (1, 8), of a few cells with a shorter
+        # last block (1000), and the default; lattices whose full root
+        # message the oracle cannot hold are left out
         monkeypatch.setattr(observables, "ROOT_BLOCK", block)
         g = Grid1D(-3, 3, cells)
         w = random_sparse_weights(rng, n, density=min(1.0, 5 / n))
@@ -126,7 +127,64 @@ class TestTau:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < 2 * 2**20
+
+    # traced peak in MiB, per (order, n, cells) and tree, of the earlier
+    # root sum that formed every fiber's outer products in blocks: the
+    # contraction must hold no more
+    BLOCKED_SUM_PEAK_MIB = {
+        (3, 64, 32): {(0, 1, 1): 2.534, (0, 1, 2): 3.002},
+        (4, 64, 32): {(0, 1, 1, 1): 24.050, (0, 1, 1, 2): 24.518, (0, 1, 1, 3): 24.518,
+                      (0, 1, 2, 1): 24.518, (0, 1, 2, 2): 40.002, (0, 1, 2, 3): 40.002},
+        (3, 256, 64): {(0, 1, 1): 6.252, (0, 1, 2): 16.127},
+    }
+
+    @pytest.mark.parametrize("shape", list(BLOCKED_SUM_PEAK_MIB), ids=lambda s: "order%d_n%d_g%d" % s)
+    def test_contraction_peak_memory_every_tree(self, rng, shape):
+        order, n, cells = shape
+        f = random_fibers(rng, Grid1D(-6, 6, cells), n)
+        w = gen_class_permutation(n, n // 8, [*range(2, 9), 1])
+        for t in enumerate_trees(order):
+            tau(t, w, f)                # any lazy set-up happens outside the trace
+            tracemalloc.start()
+            try:
+                tau(t, w, f)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= self.BLOCKED_SUM_PEAK_MIB[shape][t.parents] * 2**20, t.parents
+
+    @pytest.mark.parametrize("factors", [
+        {5: np.ones((3, 8))},                               # no vertex 5 on an order-2 tree
+        {0: np.ones((3, 8))},
+        {2: np.ones((3, 1))},                               # would broadcast over cells
+        {1: np.ones((1, 8))},                               # would broadcast over fibers
+        {1: np.ones(8)},
+    ], ids=["key_5", "key_0", "one_cell", "one_fiber", "flat"])
+    def test_rejects_bad_vertex_factors(self, rng, factors):
+        f = random_fibers(rng, Grid1D(-3, 3, 8), 3)
+        w = random_sparse_weights(rng, 3)
+        with pytest.raises(ValueError, match="vertex_factors"):
+            tau(T2, w, f, vertex_factors=factors)
+
+    def test_budget_counts_message_and_lattice(self, rng):
+        # N * G^2 = 7.2e7 entries would exceed the budget; the root's
+        # message and the lattice, N * G + G^2 = 3.5e5, do not
+        n, cells = 1100, 256
+        assert n * cells**2 > observables.DEFAULT_BUDGET
+        f = random_fibers(rng, Grid1D(-6, 6, cells), n)
+        w = random_sparse_weights(rng, n, density=5 / n)
+        got = tau(T2, w, f).values
+        pts = rng.integers(0, cells, size=(50, 2))
+        want = tau_at(T2, w, f, pts)
+        assert np.abs(got[pts[:, 0], pts[:, 1]] - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_budget_refuses_lattice_beyond_it(self):
+        # 96^4 lattice entries alone exceed 2^26, whatever the fiber count
+        g = Grid1D(-2, 2, 96)
+        f = FiberedDensity(grid=g, values=np.full((2, 96), 0.25 / 2))
+        with pytest.raises(LatticeBudgetError, match="tau_at"):
+            tau(LabeledTree((0, 1, 1, 1)), gen_uniform(2, 1.0), f)
 
     def test_unreferenced_fiber_zero(self):
         g = Grid1D(-2, 2, 16)
@@ -437,6 +495,40 @@ class TestHierarchyResidual:
         w = random_sparse_weights(rng, 2)
         with pytest.raises(ValueError):
             hierarchy_residual(T1, w, [f, f], linear_attraction())
+
+    @staticmethod
+    def _snapshots(rng, times=(0.0, 0.1, 0.2), grids=None):
+        g = Grid1D(-3, 3, 16)
+        f = random_fibers(rng, g, 3)
+        grids = grids or (g, g, g)
+        return [FiberedDensity(grid=gr, values=f.values, time=t) for gr, t in zip(grids, times)]
+
+    @pytest.mark.parametrize("times", [(0.0, math.nan, 0.2), (0.0, 0.1, math.nan),
+                                       (math.nan, 0.1, 0.2)], ids=["mid", "last", "first"])
+    def test_rejects_nan_time(self, rng, times):
+        w = random_sparse_weights(rng, 3)
+        with pytest.raises(ValueError, match="increasing"):
+            hierarchy_residual(T1, w, self._snapshots(rng, times), linear_attraction())
+
+    def test_rejects_snapshots_on_different_grids(self, rng):
+        g, other = Grid1D(-3, 3, 16), Grid1D(-4, 4, 16)
+        w = random_sparse_weights(rng, 3)
+        snaps = self._snapshots(rng, grids=(g, other, g))
+        with pytest.raises(ValueError, match="one grid"):
+            hierarchy_residual(T2, w, snaps, linear_attraction())
+
+    @pytest.mark.parametrize("nu", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_nu(self, rng, nu):
+        w = random_sparse_weights(rng, 3)
+        with pytest.raises(ValueError, match="nu"):
+            hierarchy_residual(T1, w, self._snapshots(rng), linear_attraction(), nu=nu)
+
+    @pytest.mark.parametrize("shape", [(16,), (16, 8), (16, 16, 16)])
+    def test_rejects_tau1_of_wrong_shape(self, rng, shape):
+        w = random_sparse_weights(rng, 3)
+        with pytest.raises(ValueError, match="tau1"):
+            hierarchy_residual(T2, w, self._snapshots(rng), linear_attraction(),
+                               tau1=np.zeros(shape))
 
     def test_viscous_term_enters(self, rng):
         g = Grid1D(0, 2 * math.pi, 48, topology="torus")
